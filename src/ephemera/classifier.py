@@ -11,21 +11,18 @@ Real coordinates are ordered (x_1, y_1, ..., x_k, y_k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
-from . import config
 from .errors import NotCriticalModPhi
 from .jets import (
     InvariantPolynomial,
-    c_add,
-    c_mul,
     chart_jet,
     ephemeral_zero_set_test,
-    eval_raw_terms,
+    eval_terms,
     slice_restriction,
     vanishes_below_order_mod_phi,
+    wirtinger_terms,
 )
 from .lattice import DefiningVector, StabilizerData, canonical_sign, smith_normal_form
 
@@ -131,7 +128,7 @@ class SystemSpec:
         z = np.asarray(z, dtype=complex)
         out = np.zeros(2 * self.coords)
         for j in range(self.coords):
-            fz = eval_raw_terms(self.g.wirtinger(j), z)
+            fz = eval_terms(self.g.wirtinger(j), z)
             out[2 * j] = 2.0 * fz.real
             out[2 * j + 1] = -2.0 * fz.imag
         return out
@@ -143,10 +140,8 @@ class SystemSpec:
         dz = [self.g.wirtinger(j) for j in range(k)]
         for j in range(k):
             for l in range(j, k):
-                p_hol = _raw_wirtinger(dz[j], l, conjugate=False)
-                q_mix = _raw_wirtinger(dz[j], l, conjugate=True)
-                p = eval_raw_terms(p_hol, z)
-                q = eval_raw_terms(q_mix, z)
+                p = eval_terms(wirtinger_terms(dz[j], l, conjugate=False), z)
+                q = eval_terms(wirtinger_terms(dz[j], l, conjugate=True), z)
                 out[2 * j, 2 * l] = 2.0 * (p + q).real
                 out[2 * j, 2 * l + 1] = -2.0 * (p - q).imag
                 out[2 * j + 1, 2 * l] = -2.0 * (p + q).imag
@@ -154,19 +149,6 @@ class SystemSpec:
         # symmetrize: mixed partials commute for polynomials
         out = np.triu(out) + np.triu(out, 1).T
         return out
-
-
-def _raw_wirtinger(terms: dict, j: int, conjugate: bool) -> dict:
-    out: dict = {}
-    for (a, b), c in terms.items():
-        exps = b if conjugate else a
-        if exps[j] == 0:
-            continue
-        new = list(exps)
-        new[j] -= 1
-        key = (a, tuple(new)) if conjugate else (tuple(new), b)
-        out[key] = c_add(out.get(key, 0), c_mul(c, exps[j]))
-    return out
 
 
 def standard_complex_structure(k: int) -> np.ndarray:
@@ -235,12 +217,9 @@ def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
         for i in support
     )
     xi_r = sys.xi.restrict(support)
-    g = 0
-    for x in xi_r.xi:
-        g = gcd(g, abs(x))
     return StabilizerData(
         rank=len(lie),
-        component_count=g if g > 0 else 1,
+        component_count=xi_r.component_count(),
         slice_weights=slice_w,
         xi_restricted=xi_r,
         lie_basis=lie,
@@ -257,27 +236,30 @@ def _kernel_of(matrix: np.ndarray, ambient: int) -> np.ndarray:
     return vt[rank:].T
 
 
-def is_critical_mod_phi(sys: SystemSpec, z) -> bool:
-    """Whether the derivative of g vanishes on the kernel of D(Phi)."""
+def is_critical_mod_phi(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> bool:
+    """Whether the derivative of g vanishes on the kernel of D(Phi).
+
+    tolerance_scale multiplies the relative threshold RANK_TOL.
+    """
     grad = sys.grad_g(z)
     kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
     if kernel.shape[1] == 0:
         return True
     proj = kernel.T @ grad
-    tol = RANK_TOL * config.tolerance_scale()
+    tol = RANK_TOL * tolerance_scale
     return float(np.linalg.norm(proj)) <= tol * (1.0 + float(np.linalg.norm(grad)))
 
 
-def lagrange_multiplier(sys: SystemSpec, z) -> np.ndarray:
+def lagrange_multiplier(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> np.ndarray:
     """Least-squares mu with d(g - Phi^mu) = 0 at z."""
-    if not is_critical_mod_phi(sys, z):
+    if not is_critical_mod_phi(sys, z, tolerance_scale):
         raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
     grad = sys.grad_g(z)
     if sys.torus_dim == 0:
         return np.zeros(0)
     mu, *_ = np.linalg.lstsq(sys.dphi(z).T, grad, rcond=None)
     residual = float(np.linalg.norm(sys.dphi(z).T @ mu - grad))
-    if residual > RANK_TOL * config.tolerance_scale() * (1.0 + float(np.linalg.norm(grad))):
+    if residual > RANK_TOL * tolerance_scale * (1.0 + float(np.linalg.norm(grad))):
         raise NotCriticalModPhi(f"multiplier residual {residual:.2e} too large")
     return mu
 
@@ -288,7 +270,9 @@ class BlockData:
     eigenvalues: tuple[complex, ...]
 
 
-def slice_hessian_blocks(sys: SystemSpec, z, mu) -> tuple[list[BlockData], bool, dict]:
+def slice_hessian_blocks(
+    sys: SystemSpec, z, mu, tolerance_scale: float = 1.0
+) -> tuple[list[BlockData], bool, dict]:
     """Block types of the linearized flow on the reduced symplectic slice.
 
     Builds the orthogonal complement of the orbit directions inside
@@ -299,7 +283,7 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu) -> tuple[list[BlockData], bool,
     forms spanning less than the complex slice dimension.
     """
     z = np.asarray(z, dtype=complex)
-    if not is_critical_mod_phi(sys, z):
+    if not is_critical_mod_phi(sys, z, tolerance_scale):
         raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
     k = sys.coords
     kernel = _kernel_of(sys.dphi(z), 2 * k)
@@ -396,16 +380,23 @@ class SingularityReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _df_rank_full(sys: SystemSpec, z) -> bool:
-    rows = np.vstack([sys.dphi(z), sys.grad_g(z)[None, :]])
-    s = np.linalg.svd(rows, compute_uv=False)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > RANK_TOL * max(smax, 1e-300)))
-    return rank == sys.torus_dim + 1
+def _df_rank_full(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> bool:
+    """Whether dF = (D(Phi), dg) has full rank at z.
+
+    Decided as: D(Phi) has full rank and g is not critical modulo Phi.
+    Thresholding the stacked singular values against the largest one
+    instead lets a large |dg| hide a rank drop of D(Phi).
+    """
+    kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
+    dphi_full = kernel.shape[1] == 2 * sys.coords - sys.torus_dim
+    return dphi_full and not is_critical_mod_phi(sys, z, tolerance_scale)
 
 
-def classify_point(sys: SystemSpec, point) -> SingularityReport:
-    """Full classification pipeline for one point of the system."""
+def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> SingularityReport:
+    """Full classification pipeline for one point of the system.
+
+    tolerance_scale multiplies the criticality and multiplier thresholds.
+    """
     z = np.asarray(point, dtype=complex)
     support = support_of(z)
     stab = stabilizer_slice(sys, support)
@@ -414,10 +405,14 @@ def classify_point(sys: SystemSpec, point) -> SingularityReport:
     n_support = xi_r.degree_N
     degree = n_support if n_support >= 1 else 1
     diagnostics: dict = {"support_degree": n_support}
-    critical = is_critical_mod_phi(sys, z)
+    critical = is_critical_mod_phi(sys, z, tolerance_scale)
 
     if not critical:
-        label = "regular" if _df_rank_full(sys, z) else "regular-mod-phi-elliptic"
+        label = (
+            "regular"
+            if _df_rank_full(sys, z, tolerance_scale)
+            else "regular-mod-phi-elliptic"
+        )
         return SingularityReport(
             point=tuple(map(complex, z)),
             support=tuple(support),
@@ -431,8 +426,8 @@ def classify_point(sys: SystemSpec, point) -> SingularityReport:
             diagnostics=diagnostics,
         )
 
-    mu = lagrange_multiplier(sys, z)
-    blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu)
+    mu = lagrange_multiplier(sys, z, tolerance_scale)
+    blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu, tolerance_scale)
     diagnostics.update(block_diag)
     kinds = {b.kind for b in blocks}
 

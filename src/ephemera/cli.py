@@ -1,7 +1,7 @@
 """Command-line entry points: classify, fiber-scan, ephemeral-test, catalog.
 
 Exit codes: 0 success, 2 validation or parse error, 3 failed
-Morse-connectivity cross-check.  All randomness is seeded (default 0) and
+Morse-connectivity cross-check.  No command draws a random number, and
 reports are written atomically by a single writer.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -20,15 +21,16 @@ import numpy as np
 
 from . import __version__
 from .classifier import SystemSpec, classify_point, fiber_verdicts
-from .errors import EphemeraError, NotProper, ParseError, UnknownName
+from .errors import EphemeraError, ParseError, UnknownName
 from .family import FamilySystem, PolarPoint, taylor_at_support
 from .fiberlab import MIN_RESOLUTION, connectivity_report
 from .jets import chart_jet, ephemeral_zero_set_test, vanishes_below_order_mod_phi
 from .serial import (
     connectivity_csv_rows,
     connectivity_to_json,
-    load_system_spec,
+    load_spec_bytes,
     point_to_json,
+    read_spec_bytes,
     report_to_json,
 )
 
@@ -42,11 +44,9 @@ def _catalog_bytes(name: str) -> bytes:
 
 
 def resolve_spec_path(path_or_name: str):
-    """A path on disk, or a shipped catalog name."""
+    """Bytes and label of a path on disk, or of a shipped catalog name."""
     if os.path.exists(path_or_name):
-        with open(path_or_name, "rb") as fh:
-            raw = fh.read()
-        return raw, path_or_name
+        return read_spec_bytes(path_or_name), path_or_name
     base = os.path.splitext(os.path.basename(path_or_name))[0]
     if base in CATALOG_NAMES:
         return _catalog_bytes(base), base
@@ -54,15 +54,8 @@ def resolve_spec_path(path_or_name: str):
 
 
 def _load(path_or_name: str):
-    import hashlib
-
     raw, label = resolve_spec_path(path_or_name)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{label} is not valid JSON: {exc}") from exc
-    system, points, data = load_system_spec(data)
-    return system, points, data, hashlib.sha256(raw).hexdigest(), label
+    return (*load_spec_bytes(raw, label), label)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -87,7 +80,6 @@ def _bundle(args, input_hash: str, label: str, started: float) -> dict:
         "command": args.command,
         "input": label,
         "input_sha256": input_hash,
-        "seed": getattr(args, "seed", 0),
         "timing_seconds": time.perf_counter() - started,
     }
 
@@ -116,7 +108,10 @@ def cmd_classify(args) -> int:
     system, listed, _, digest, label = _load(args.spec)
     points = _points_for(system, listed, args)
     spec = _system_of(system)
-    reports = [classify_point(spec, w.to_complex()) for w in points]
+    reports = [
+        classify_point(spec, w.to_complex(), tolerance_scale=args.tolerance_scale)
+        for w in points
+    ]
     bundle = _bundle(args, digest, label, started)
     bundle["reports"] = [report_to_json(r) for r in reports]
     bundle["fiber_verdict"] = None
@@ -195,15 +190,13 @@ def cmd_fiber_scan(args) -> int:
         raise ParseError(
             f"beta grid needs {system.weights.torus_dim} axes, got {len(axes)}"
         )
-    betas = [tuple(float(v) for v in combo) for combo in _product(axes)]
-    workers = int(os.environ.get("EPHEMERA_THREADS", "1") or "1")
+    betas = [tuple(float(v) for v in combo) for combo in itertools.product(*axes)]
     report = connectivity_report(
         system,
         betas,
         c_count=args.c_grid,
         resolution=resolution,
         synthetic_check=not args.no_synthetic_check,
-        max_workers=max(workers, 1),
     )
     bundle = _bundle(args, digest, label, started)
     bundle["connectivity"] = connectivity_to_json(report)
@@ -215,15 +208,6 @@ def cmd_fiber_scan(args) -> int:
         writer.writerows(connectivity_csv_rows(report))
         _atomic_write(args.csv, buf.getvalue())
     return 0 if report.all_consistent else 3
-
-
-def _product(axes):
-    if not axes:
-        yield ()
-        return
-    for head in axes[0]:
-        for rest in _product(axes[1:]):
-            yield (head,) + rest
 
 
 def cmd_catalog(args) -> int:
@@ -246,6 +230,13 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ephemera",
@@ -259,17 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report here (default stdout)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument(
-        "--tolerance-scale",
-        type=float,
-        default=1.0,
-        help="multiply numeric decision tolerances by this factor",
-    )
 
     p = sub.add_parser("classify", parents=[common], help="classify listed points")
     p.add_argument("spec", help="spec file path or catalog name")
     p.add_argument("--point-index", type=int, help="classify only this listed point")
+    p.add_argument(
+        "--tolerance-scale",
+        type=_positive_float,
+        default=1.0,
+        help="multiply the criticality and multiplier tolerances by this factor",
+    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
@@ -311,13 +301,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show needs a name")
-    if getattr(args, "tolerance_scale", 1.0) != 1.0:
-        from . import config
-
-        config.set_tolerance_scale(args.tolerance_scale)
     try:
         return args.func(args)
-    except (ParseError, UnknownName, NotProper, EphemeraError) as exc:
+    except EphemeraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

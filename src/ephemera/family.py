@@ -10,11 +10,9 @@ cartesian input is accepted and converted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
-from . import config
 from .classifier import SUPPORT_TOL, SystemSpec
 from .errors import ConditionsNotMet, NotTall, UnsupportedSupport
 from .jets import InvariantPolynomial, slice_restriction
@@ -128,8 +126,7 @@ def _check_conditions(sys: FamilySystem, w: PolarPoint) -> tuple[list[int], floa
     xi = sys.xi.xi
     others = [j for j in range(sys.n) if j not in set(w.support)]
     scale = sum(abs(xi[j]) ** 2 / w.r[j] ** 2 for j in others)
-    tol = COND_TOL * config.tolerance_scale()
-    if abs(c1) > tol or abs(c2) > tol * max(scale, 1.0):
+    if abs(c1) > COND_TOL or abs(c2) > COND_TOL * max(scale, 1.0):
         raise ConditionsNotMet(f"residuals ({c1:.2e}, {c2:.2e}) not within tolerance")
     return others, scale
 
@@ -206,8 +203,7 @@ def classify_family_point(sys: FamilySystem, w: PolarPoint) -> str:
             raise
         others = [j for j in range(sys.n) if j not in set(support)]
         scale = max(sum(abs(xi[j]) ** 2 / w.r[j] ** 2 for j in others), 1.0)
-        tol = COND_TOL * config.tolerance_scale()
-        critical = abs(c1) <= tol and abs(c2) <= tol * scale
+        critical = abs(c1) <= COND_TOL and abs(c2) <= COND_TOL * scale
         if critical:
             return "purely-elliptic"
         return "regular" if not support else "regular-mod-phi-elliptic"
@@ -216,10 +212,7 @@ def classify_family_point(sys: FamilySystem, w: PolarPoint) -> str:
     if n_support == 1:
         return "regular-mod-phi-elliptic" if len(support) >= 2 else "regular"
     if n_support == 2:
-        g = 0
-        for x in sub:
-            g = gcd(g, abs(x))
-        if g > 1:
+        if sys.xi.restrict(support).component_count() > 1:
             return "nondegenerate-ephemeral(hyperbolic-disconnected)"
         return "nondegenerate-ephemeral(focus-focus)"
     return "degenerate-ephemeral"

@@ -55,10 +55,6 @@ class ReducedSurfaceChart:
         return self.radius_profile(t) * np.sin(np.asarray(psi, dtype=float))
 
 
-def gbar_eval(chart, t, psi) -> float:
-    return float(chart.gbar(t, psi))
-
-
 def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
     """Exact segment solve of the reduced space over a target value.
 
@@ -386,7 +382,6 @@ def connectivity_report(
     c_count: int = 21,
     resolution: int = 512,
     synthetic_check: bool = True,
-    max_workers: int = 1,
 ) -> ConnectivityReport:
     """Morse data and level components for each target on the grid.
 
@@ -394,23 +389,11 @@ def connectivity_report(
     versus (every sampled nonempty level connected and Euler number 2).
     The verdict is consistent when the two sides agree; an injected
     synthetic saddle profile must come out consistent with both sides
-    negative.  Charts are independent; max_workers > 1 processes them in a
-    thread pool with a deterministic merge by grid order.
+    negative.  Charts are scanned one after another in grid order.
     """
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")
-    beta_grid = list(beta_grid)
-    if max_workers > 1 and len(beta_grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            charts = list(
-                pool.map(
-                    lambda b: _chart_row(sys, b, c_count, resolution), beta_grid
-                )
-            )
-    else:
-        charts = [_chart_row(sys, b, c_count, resolution) for b in beta_grid]
+    charts = [_chart_row(sys, b, c_count, resolution) for b in beta_grid]
     ok = all(c.consistent for c in charts if c.status == "ok")
     synthetic = None
     if synthetic_check:

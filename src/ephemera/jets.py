@@ -78,23 +78,6 @@ def _coerce(value):
     return complex(value)
 
 
-def c_add(x, y):
-    return _coerce(x) + y
-
-
-def c_mul(x, y):
-    return _coerce(x) * y
-
-
-def c_conj(x):
-    return _coerce(x).conjugate()
-
-
-def c_neg(x):
-    x = _coerce(x)
-    return -x
-
-
 def c_complex(x) -> complex:
     return complex(_coerce(x))
 
@@ -132,11 +115,7 @@ class InvariantPolynomial:
                 cleaned[(a, b)] = c
         for (a, b), c in cleaned.items():
             mirror = cleaned.get((b, a))
-            defect = (
-                c_conj(c)
-                if mirror is None
-                else c_add(c_conj(c), c_neg(mirror))
-            )
+            defect = c.conjugate() if mirror is None else c.conjugate() + -mirror
             if not c_is_zero(defect, scale=1.0 + abs(c_complex(c))):
                 raise ValueError(f"not real-valued: term {(a, b)} lacks conjugate mirror")
         object.__setattr__(self, "terms", cleaned)
@@ -150,9 +129,9 @@ class InvariantPolynomial:
         for (a, b), c in half_terms.items():
             a, b = tuple(a), tuple(b)
             c = _coerce(c)
-            full[(a, b)] = c_add(full.get((a, b), 0), c)
+            full[(a, b)] = full.get((a, b), 0) + c
             if a != b:
-                full[(b, a)] = c_add(full.get((b, a), 0), c_conj(c))
+                full[(b, a)] = full.get((b, a), 0) + c.conjugate()
         return cls(terms=full, xi=xi)
 
     @classmethod
@@ -187,7 +166,7 @@ class InvariantPolynomial:
             raise ValueError("mismatched invariance contexts")
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = c_add(terms.get(key, 0), c)
+            terms[key] = terms.get(key, 0) + c
         return InvariantPolynomial(terms=terms, xi=self.xi)
 
     def scale(self, factor) -> "InvariantPolynomial":
@@ -198,7 +177,7 @@ class InvariantPolynomial:
             if factor.imag != 0:
                 raise ValueError("scaling a real polynomial needs a real factor")
         return InvariantPolynomial(
-            terms={k: c_mul(c, factor) for k, c in self.terms.items()}, xi=self.xi
+            terms={k: c * factor for k, c in self.terms.items()}, xi=self.xi
         )
 
     def without_constant(self) -> "InvariantPolynomial":
@@ -218,31 +197,11 @@ class InvariantPolynomial:
     # -- evaluation -------------------------------------------------------
 
     def eval(self, z) -> float:
-        z = np.asarray(z, dtype=complex)
-        total = 0.0 + 0.0j
-        for (a, b), c in self.terms.items():
-            mono = c_complex(c)
-            for j, e in enumerate(a):
-                if e:
-                    mono *= z[j] ** e
-            for j, e in enumerate(b):
-                if e:
-                    mono *= np.conj(z[j]) ** e
-            total += mono
-        return float(total.real)
+        return float(eval_terms(self.terms, z).real)
 
     def wirtinger(self, j: int, conjugate: bool = False) -> dict:
         """Raw term dict of the derivative with respect to z_j (or zbar_j)."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            exps = b if conjugate else a
-            if exps[j] == 0:
-                continue
-            new = list(exps)
-            new[j] -= 1
-            key = (a, tuple(new)) if conjugate else (tuple(new), b)
-            out[key] = c_add(out.get(key, 0), c_mul(c, exps[j]))
-        return out
+        return wirtinger_terms(self.terms, j, conjugate)
 
     def pullback_rotation(self, angles) -> "InvariantPolynomial":
         """Precompose with the coordinatewise rotation z -> lambda * z."""
@@ -263,8 +222,8 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def eval_raw_terms(terms: dict, z) -> complex:
-    """Evaluate a raw (not necessarily real) term dict at a point."""
+def eval_terms(terms: dict, z) -> complex:
+    """Value at a point of a raw (not necessarily real) term dict."""
     z = np.asarray(z, dtype=complex)
     total = 0.0 + 0.0j
     for (a, b), c in terms.items():
@@ -277,6 +236,20 @@ def eval_raw_terms(terms: dict, z) -> complex:
                 mono *= np.conj(z[j]) ** e
         total += mono
     return complex(total)
+
+
+def wirtinger_terms(terms: dict, j: int, conjugate: bool = False) -> dict:
+    """Raw term dict of the derivative of a raw term dict by z_j (or zbar_j)."""
+    out: dict = {}
+    for (a, b), c in terms.items():
+        exps = b if conjugate else a
+        if exps[j] == 0:
+            continue
+        new = list(exps)
+        new[j] -= 1
+        key = (a, tuple(new)) if conjugate else (tuple(new), b)
+        out[key] = out.get(key, 0) + c * exps[j]
+    return out
 
 
 def invariance_defect(p: InvariantPolynomial):
@@ -369,7 +342,7 @@ def reduced_taylor(p: InvariantPolynomial, order: int) -> ChartFunction:
         for e, mj in zip(xi, m):
             factor *= e**mj
         key = (k, sum(m))
-        out[key] = c_add(out.get(key, 0), c_mul(c, factor))
+        out[key] = out.get(key, 0) + c * factor
     out = {key: c for key, c in out.items() if not c_is_zero(c)}
     return ChartFunction(terms=out, xi=p.xi)
 
@@ -432,12 +405,9 @@ def chart_jet(p: InvariantPolynomial) -> ChartJet:
             raise PrerequisiteVanishingFailed(
                 f"unexpected chart term u^{k} tau^{d} at degree {n}"
             )
-    q_float = float(
-        np.prod([float(e) ** e for e in p.xi.xi if e > 0], initial=1.0)
-    )
     a = 2.0 * c_complex(c_plus).real
     b = -2.0 * c_complex(c_plus).imag
-    d_val = c_complex(s_mod).real / math.sqrt(q_float)
+    d_val = c_complex(s_mod).real / math.sqrt(reduced.chart_scale())
     exact = None
     if c_is_exact(c_plus) and c_is_exact(s_mod):
         cp = _coerce(c_plus)
@@ -522,9 +492,6 @@ def slice_restriction(
             tuple(a[i] for i in support),
             tuple(b[i] for i in support),
         )
-        if factor == 1.0 + 0.0j:
-            add = c
-        else:
-            add = c_mul(c, complex(factor))
-        terms[key] = c_add(terms.get(key, 0), add)
+        add = c if factor == 1.0 + 0.0j else c * complex(factor)
+        terms[key] = terms.get(key, 0) + add
     return InvariantPolynomial(terms=terms, xi=xi_restricted)

@@ -7,6 +7,7 @@ coefficients fall back to repr-exact decimal strings tagged with "~".
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -14,6 +15,7 @@ from importlib import resources
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
 
 from .classifier import (
     BlockData,
@@ -26,6 +28,7 @@ from .family import FamilySystem, PolarPoint, build_family
 from .fiberlab import ChartVerdict, ConnectivityReport
 from .jets import InvariantPolynomial, RationalComplex, c_complex, c_is_exact
 from .lattice import DefiningVector, WeightMatrix
+
 
 def format_coefficient(c) -> str:
     if c_is_exact(c):
@@ -89,9 +92,17 @@ def polynomial_from_terms(terms: list[dict], xi: DefiningVector) -> InvariantPol
     return InvariantPolynomial(terms=parsed, xi=xi)
 
 
-def _load_schema(name: str) -> dict:
+@functools.cache
+def _validator(name: str):
+    """Validator for a shipped schema, built on first use."""
     with resources.files("ephemera").joinpath("schemas").joinpath(name).open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _schema_error(data, name: str):
+    """The most relevant violation of a shipped schema, or None."""
+    return best_match(_validator(name).iter_errors(data))
 
 
 def load_system_spec(data: dict):
@@ -99,32 +110,42 @@ def load_system_spec(data: dict):
 
     Returns (system_or_family, points, data).  Family entries give a
     FamilySystem; local-model entries give a SystemSpec on the slice.
+    Every listed point must have one coordinate per system coordinate.
     """
-    try:
-        jsonschema.validate(data, _load_schema("system_spec.schema.json"))
-    except jsonschema.ValidationError as exc:
-        raise ParseError(f"spec file invalid: {exc.message}") from exc
+    error = _schema_error(data, "system_spec.schema.json")
+    if error is not None:
+        raise ParseError(f"spec file invalid: {error.message}") from error
     name = data["name"]
     points = [parse_point(p) for p in data.get("points", [])]
     if data["kind"] == "family":
         weights = WeightMatrix(tuple(tuple(row) for row in data["weights"]))
-        fam = build_family(weights, name=name)
-        if "xi" in data and tuple(data["xi"]) != fam.xi.xi:
+        system = build_family(weights, name=name)
+        if "xi" in data and tuple(data["xi"]) != system.xi.xi:
             raise ParseError(
                 f"xi override {data['xi']} does not generate the kernel "
-                f"(expected {list(fam.xi.xi)})"
+                f"(expected {list(system.xi.xi)})"
             )
-        return fam, points, data
-    xi = DefiningVector.from_entries(data["xi"])
-    g = None
-    if "g_terms" in data:
-        g = polynomial_from_terms(data["g_terms"], xi)
-    return local_model_system(xi, g=g, name=name), points, data
+    else:
+        xi = DefiningVector.from_entries(data["xi"])
+        g = None
+        if "g_terms" in data:
+            g = polynomial_from_terms(data["g_terms"], xi)
+        system = local_model_system(xi, g=g, name=name)
+    coords = len(system.xi.xi)
+    for i, point in enumerate(points):
+        if len(point.r) != coords:
+            raise ParseError(
+                f"point {i} has {len(point.r)} coordinates, the system has {coords}"
+            )
+    return system, points, data
 
 
 def parse_point(entry: dict) -> PolarPoint:
     if "r" in entry:
-        return PolarPoint(r=tuple(entry["r"]), theta=tuple(entry["theta"]))
+        try:
+            return PolarPoint(r=tuple(entry["r"]), theta=tuple(entry["theta"]))
+        except ValueError as exc:
+            raise ParseError(f"bad point {entry}: {exc}") from exc
     z = [complex(re_im[0], re_im[1]) for re_im in entry["z"]]
     return PolarPoint.from_complex(np.array(z))
 
@@ -133,18 +154,26 @@ def point_to_json(w: PolarPoint) -> dict:
     return {"r": list(w.r), "theta": list(w.theta)}
 
 
-def load_spec_file(path: str):
+def read_spec_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def load_spec_bytes(raw: bytes, label: str):
+    """Parse, validate and hash a spec: (system, points, data, sha256)."""
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{label} is not valid JSON: {exc}") from exc
     system, points, data = load_system_spec(data)
     return system, points, data, hashlib.sha256(raw).hexdigest()
+
+
+def load_spec_file(path: str):
+    return load_spec_bytes(read_spec_bytes(path), path)
 
 
 # -- reports ---------------------------------------------------------------
@@ -246,4 +275,6 @@ def connectivity_csv_rows(report: ConnectivityReport) -> list[list]:
 
 
 def validate_report_bundle(data: dict) -> None:
-    jsonschema.validate(data, _load_schema("report_bundle.schema.json"))
+    error = _schema_error(data, "report_bundle.schema.json")
+    if error is not None:
+        raise error

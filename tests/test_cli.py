@@ -274,3 +274,65 @@ def test_main_in_process_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert main(["classify", str(bad)]) == 2
+
+
+def _classify_in_process(capsys, spec_path):
+    code = main(["classify", str(spec_path)])
+    err = capsys.readouterr().err
+    return code, err
+
+
+def test_cli_classify_directory_is_a_parse_error(tmp_path, capsys):
+    code, err = _classify_in_process(capsys, tmp_path)
+    assert code == 2
+    assert err.startswith("error: cannot read")
+
+
+def test_cli_classify_rejects_ragged_polar_point(tmp_path, capsys):
+    spec = tmp_path / "ragged.json"
+    payload = json.loads(catalog_path("family_11m1"))
+    payload["points"] = [{"r": [1.0, 1.0, 1.0], "theta": [0.0, 0.0]}]
+    spec.write_text(json.dumps(payload))
+    code, err = _classify_in_process(capsys, spec)
+    assert code == 2
+    assert err.startswith("error: bad point")
+
+
+def test_cli_classify_rejects_point_of_wrong_length(tmp_path, capsys):
+    spec = tmp_path / "short.json"
+    payload = json.loads(catalog_path("family_11m1"))
+    payload["points"] = [{"r": [1.0, 1.0], "theta": [0.0, 0.0]}]
+    spec.write_text(json.dumps(payload))
+    code, err = _classify_in_process(capsys, spec)
+    assert code == 2
+    assert "has 2 coordinates, the system has 3" in err
+
+
+def test_tolerance_scale_does_not_leak_between_calls(tmp_path):
+    # a point just off the critical circle: critical only under a scaled tolerance
+    spec = tmp_path / "near.json"
+    payload = json.loads(catalog_path("family_11m1"))
+    r = 1.4142135623730951
+    payload["points"] = [{"r": [r, r, 1.0], "theta": [1.5707963267948966 + 1e-5, 0.0, 0.0]}]
+    spec.write_text(json.dumps(payload))
+    scaled, default = tmp_path / "scaled.json", tmp_path / "default.json"
+    assert main(["classify", str(spec), "--tolerance-scale", "1e6", "--out", str(scaled)]) == 0
+    assert main(["classify", str(spec), "--out", str(default)]) == 0
+    labels = [json.loads(p.read_text())["reports"][0]["label"] for p in (scaled, default)]
+    assert labels == ["purely-elliptic", "regular"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fiber-scan", "family_11m1", "--tolerance-scale", "2"],
+        ["fiber-scan", "family_11m1", "--seed", "1"],
+        ["classify", "family_11m1", "--seed", "1"],
+        ["classify", "family_11m1", "--tolerance-scale", "0"],
+    ],
+)
+def test_cli_rejects_removed_and_invalid_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -276,6 +276,21 @@ def test_agreement_with_zero_weight_coordinate():
     assert "unclassified-degenerate" in seen
 
 
+def test_high_degree_open_stratum_points_are_regular():
+    # degree 39: |dg| reaches ~1e10 at these radii, which must not hide the
+    # full rank of D(Phi) on the open stratum
+    fam = build_family(WeightMatrix(((2, 1, 1, 0), (0, 2, -1, 2), (1, -2, -1, 2))))
+    assert fam.xi.xi == (8, 2, -18, -11)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        w = PolarPoint(
+            r=tuple(rng.uniform(1.5, 2.0, 4)),
+            theta=tuple(rng.uniform(0.0, 2.0 * np.pi, 4)),
+        )
+        assert classify_family_point(fam, w) == "regular"
+        assert classify_point(fam.system, w.to_complex()).label == "regular", w
+
+
 def test_family_hessian_on_zero_exponent_support():
     # critical points with a vanishing zero-exponent coordinate still admit
     # the closed-form Hessian over the moving coordinates

@@ -11,7 +11,6 @@ from ephemera.fiberlab import (
     SyntheticChart,
     connectivity_report,
     critical_scan,
-    gbar_eval,
     level_components,
     off_critical_levels,
     reduced_surface,
@@ -76,17 +75,17 @@ def test_gbar_matches_lifted_points():
         theta[0] = psi / xi[0]
         w = PolarPoint(r=tuple(np.sqrt(s)), theta=tuple(theta))
         _, g_lift = eval_polar(FAM, w)
-        assert gbar_eval(chart, t, psi) == pytest.approx(g_lift, rel=1e-10, abs=1e-10)
+        assert float(chart.gbar(t, psi)) == pytest.approx(g_lift, rel=1e-10, abs=1e-10)
 
 
 def test_gbar_trivial_values():
     chart = reduced_surface(FAM, (1, 1))
     for t in (0.0, 0.3, 0.8, 1.0):
-        assert gbar_eval(chart, t, 0.0) == pytest.approx(0.0)
-    assert gbar_eval(chart, 0.5, np.pi / 2) > 0.0
+        assert float(chart.gbar(t, 0.0)) == pytest.approx(0.0)
+    assert float(chart.gbar(0.5, np.pi / 2)) > 0.0
     # collapsed endpoints carry the value zero
-    assert gbar_eval(chart, 0.0, 1.234) == pytest.approx(0.0)
-    assert gbar_eval(chart, 1.0, 4.321) == pytest.approx(0.0)
+    assert float(chart.gbar(0.0, 1.234)) == pytest.approx(0.0)
+    assert float(chart.gbar(1.0, 4.321)) == pytest.approx(0.0)
 
 
 def test_critical_scan_sphere_chart():
@@ -179,15 +178,17 @@ def test_level_components_against_interval_oracle():
             assert level_components(chart, c, 512) == _interval_count_oracle(chart, c)
 
 
-def test_parallel_scan_matches_sequential():
+def test_scan_is_deterministic():
     betas = [(a, b) for a in (0.9, 1.5) for b in (1.0, 1.8)]
-    seq = connectivity_report(FAM, betas, c_count=7, resolution=128, max_workers=1)
-    par = connectivity_report(FAM, betas, c_count=7, resolution=128, max_workers=4)
-    assert seq.all_consistent == par.all_consistent
-    for a, b in zip(seq.charts, par.charts):
+    first = connectivity_report(FAM, betas, c_count=7, resolution=128)
+    second = connectivity_report(FAM, betas, c_count=7, resolution=128)
+    assert first.all_consistent == second.all_consistent
+    assert [c.beta for c in first.charts] == [tuple(map(float, b)) for b in betas]
+    for a, b in zip(first.charts, second.charts, strict=True):
         assert a.beta == b.beta
         assert a.status == b.status
         assert a.levels == b.levels
+        assert a.morse.critical_points == b.morse.critical_points
         assert a.consistent == b.consistent
 
 
