@@ -14,17 +14,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotCriticalModPhi
+from .errors import NotCriticalModPhi, NotInvariant, NotTall
 from .jets import (
     InvariantPolynomial,
     chart_jet,
+    check_invariance,
     ephemeral_zero_set_test,
     eval_terms,
     slice_restriction,
     vanishes_below_order_mod_phi,
     wirtinger_terms,
 )
-from .lattice import DefiningVector, StabilizerData, canonical_sign, smith_normal_form
+from .lattice import (
+    DefiningVector,
+    StabilizerData,
+    connectivity_obstruction,
+    kernel_basis,
+    slice_weights_from_xi,
+)
 
 RANK_TOL = 1e-8
 SUPPORT_TOL = 1e-10
@@ -68,9 +75,6 @@ class SystemSpec:
     name: str = ""
 
     def __post_init__(self):
-        from .errors import NotInvariant
-        from .jets import check_invariance
-
         if self.g.xi != self.xi:
             raise NotInvariant("g carries a different invariance context than the system")
         if not check_invariance(self.g):
@@ -165,8 +169,6 @@ def local_model_system(
     """Slice system of a local model: identity-component weights plus the
     kernel character; g defaults to the imaginary part of the defining
     monomial."""
-    from .lattice import slice_weights_from_xi
-
     xi = (
         xi_entries
         if isinstance(xi_entries, DefiningVector)
@@ -190,24 +192,19 @@ def support_of(z, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
 
 
 def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
-    """Stabilizer data of the support subspace inside an arbitrary system.
+    """Stabilizer data of the points whose coordinates vanish exactly on a support set.
 
-    The identity-component rank and weights come from the normal form of
-    the non-vanishing columns; the component count is the gcd of the
-    restricted defining exponents (the finite part lives in the kernel
-    character, not in the weight rows).
+    The identity component's Lie algebra is the integer kernel of the
+    weights of the non-vanishing coordinates; the component count is the
+    gcd of the restricted defining exponents (the finite part lives in the
+    kernel character, not in the weight rows).
     """
     support = sorted(set(support))
     others = [j for j in range(sys.coords) if j not in support]
     d = sys.torus_dim
     rows = [[sys.weights[a][j] for a in range(d)] for j in others]
-    if rows and d:
-        _, diag, v = smith_normal_form(rows)
-        rank_b = sum(1 for i in range(min(len(rows), d)) if diag[i][i] != 0)
-        lie = tuple(
-            canonical_sign(tuple(v[r][j] for r in range(d)))
-            for j in range(rank_b, d)
-        )
+    if rows:
+        lie = kernel_basis(rows)
     else:
         lie = tuple(
             tuple(1 if r == j else 0 for r in range(d)) for j in range(d)
@@ -224,6 +221,22 @@ def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
         xi_restricted=xi_r,
         lie_basis=lie,
     )
+
+
+def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
+    """Lowest-degree slice data of g at a point, on the vanishing coordinates.
+
+    The Taylor data of g up to the restricted degree N, constant term
+    dropped; for the family it equals the imaginary part of (prefactor *
+    defining monomial of the slice), the prefactor collecting the frozen
+    coordinates.  The support must be tall.
+    """
+    xi_r = sys.xi.restrict(support)
+    if not xi_r.tall:
+        raise NotTall(f"support exponents {xi_r.xi} mix signs")
+    return slice_restriction(
+        sys.g, point, support, xi_r, max_degree=xi_r.degree_N
+    ).without_constant()
 
 
 def _kernel_of(matrix: np.ndarray, ambient: int) -> np.ndarray:
@@ -403,9 +416,10 @@ def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> Sing
     xi_r = stab.xi_restricted
     tall = xi_r.tall
     n_support = xi_r.degree_N
-    degree = n_support if n_support >= 1 else 1
     diagnostics: dict = {"support_degree": n_support}
     critical = is_critical_mod_phi(sys, z, tolerance_scale)
+    mu = None
+    blocks: list[BlockData] = []
 
     if not critical:
         label = (
@@ -413,73 +427,59 @@ def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> Sing
             if _df_rank_full(sys, z, tolerance_scale)
             else "regular-mod-phi-elliptic"
         )
-        return SingularityReport(
-            point=tuple(map(complex, z)),
-            support=tuple(support),
-            stabilizer=stab,
-            tall=tall,
-            degree_N=degree,
-            critical_mod_phi=False,
-            multiplier=None,
-            blocks=[],
-            label=label,
-            diagnostics=diagnostics,
-        )
-
-    mu = lagrange_multiplier(sys, z, tolerance_scale)
-    blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu, tolerance_scale)
-    diagnostics.update(block_diag)
-    kinds = {b.kind for b in blocks}
-
-    if not tall:
-        label = "unclassified-degenerate" if degenerate else "short-elliptic"
-    elif n_support >= 2:
-        p_slice = slice_restriction(sys.g, z, support, xi_r, max_degree=n_support)
-        p_slice = p_slice.without_constant()
-        vanishes = vanishes_below_order_mod_phi(p_slice, n_support)
-        ephemeral = False
-        if vanishes:
-            jet = chart_jet(p_slice)
-            ephemeral = ephemeral_zero_set_test(jet)
-            diagnostics["chart_jet"] = (jet.A, jet.B, jet.D)
-        diagnostics["vanishes_below_degree"] = vanishes
-        if n_support > 2:
-            # exact witness: all slice terms have degree >= n_support > 2
-            diagnostics["degree2_taylor_vanishes"] = all(
-                sum(a) + sum(b) > 2 for a, b in p_slice.terms
-            )
-        if ephemeral and degenerate:
-            label = "degenerate-ephemeral"
-        elif ephemeral:
-            if "focus-focus" in kinds:
-                label = "nondegenerate-ephemeral(focus-focus)"
-            elif "hyperbolic" in kinds:
-                label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
-            elif stab.component_count > 1:
-                label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
-            else:
-                label = "nondegenerate-ephemeral(focus-focus)"
-        elif degenerate:
-            label = "unclassified-degenerate"
-        elif kinds <= {"elliptic"}:
-            label = "purely-elliptic"
-        elif "hyperbolic" in kinds and stab.component_count == 1:
-            label = "hyperbolic-connected"
-        elif "focus-focus" in kinds:
-            label = "nondegenerate-ephemeral(focus-focus)"
-        else:
-            label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
     else:
-        label = "unclassified-degenerate" if degenerate else "purely-elliptic"
+        mu = lagrange_multiplier(sys, z, tolerance_scale)
+        blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu, tolerance_scale)
+        diagnostics.update(block_diag)
+        kinds = {b.kind for b in blocks}
+        if not tall:
+            label = "unclassified-degenerate" if degenerate else "short-elliptic"
+        elif n_support >= 2:
+            p_slice = slice_data(sys, z, support)
+            vanishes = vanishes_below_order_mod_phi(p_slice, n_support)
+            ephemeral = False
+            if vanishes:
+                jet = chart_jet(p_slice)
+                ephemeral = ephemeral_zero_set_test(jet)
+                diagnostics["chart_jet"] = (jet.A, jet.B, jet.D)
+            diagnostics["vanishes_below_degree"] = vanishes
+            if n_support > 2:
+                # exact witness: all slice terms have degree >= n_support > 2
+                diagnostics["degree2_taylor_vanishes"] = all(
+                    sum(a) + sum(b) > 2 for a, b in p_slice.terms
+                )
+            if ephemeral and degenerate:
+                label = "degenerate-ephemeral"
+            elif ephemeral:
+                if "focus-focus" in kinds:
+                    label = "nondegenerate-ephemeral(focus-focus)"
+                elif "hyperbolic" in kinds:
+                    label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
+                elif stab.component_count > 1:
+                    label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
+                else:
+                    label = "nondegenerate-ephemeral(focus-focus)"
+            elif degenerate:
+                label = "unclassified-degenerate"
+            elif kinds <= {"elliptic"}:
+                label = "purely-elliptic"
+            elif "hyperbolic" in kinds and stab.component_count == 1:
+                label = "hyperbolic-connected"
+            elif "focus-focus" in kinds:
+                label = "nondegenerate-ephemeral(focus-focus)"
+            else:
+                label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
+        else:
+            label = "unclassified-degenerate" if degenerate else "purely-elliptic"
 
     return SingularityReport(
         point=tuple(map(complex, z)),
         support=tuple(support),
         stabilizer=stab,
         tall=tall,
-        degree_N=degree,
-        critical_mod_phi=True,
-        multiplier=tuple(map(float, mu)),
+        degree_N=max(n_support, 1),
+        critical_mod_phi=critical,
+        multiplier=None if mu is None else tuple(map(float, mu)),
         blocks=blocks,
         label=label,
         diagnostics=diagnostics,
@@ -495,8 +495,6 @@ class FiberVerdict:
 
 def fiber_verdicts(reports) -> FiberVerdict:
     """Aggregate connectivity predicates over the reports of one moment fiber."""
-    from .lattice import connectivity_obstruction
-
     hyperbolic = [
         r
         for r in reports

@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -20,9 +21,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .classifier import SystemSpec, classify_point, fiber_verdicts
+from .classifier import SystemSpec, classify_point, fiber_verdicts, slice_data
 from .errors import EphemeraError, ParseError, UnknownName
-from .family import FamilySystem, PolarPoint, taylor_at_support
+from .family import FamilySystem, PolarPoint
 from .fiberlab import MIN_RESOLUTION, connectivity_report
 from .jets import chart_jet, ephemeral_zero_set_test, vanishes_below_order_mod_phi
 from .serial import (
@@ -135,16 +136,7 @@ def cmd_ephemeral_test(args) -> int:
     results = []
     for w in points:
         entry: dict = {"point": point_to_json(w)}
-        if isinstance(system, FamilySystem):
-            data = taylor_at_support(system, w)
-        else:
-            support = sorted(w.support)
-            from .jets import slice_restriction
-
-            xi_r = spec.xi.restrict(support)
-            data = slice_restriction(
-                spec.g, w.to_complex(), support, xi_r, max_degree=xi_r.degree_N
-            ).without_constant()
+        data = slice_data(spec, w.to_complex(), w.support)
         degree = data.xi.degree_N
         entry["support_degree"] = degree
         if degree < 2:
@@ -168,9 +160,21 @@ def cmd_ephemeral_test(args) -> int:
     return 0
 
 
-def _parse_axis(text: str):
-    lo, hi, count = text.split(":")
-    return np.linspace(float(lo), float(hi), int(count))
+def _beta_axes(text: str) -> list[np.ndarray]:
+    """Comma-separated axes lo:hi:count with finite bounds and count >= 1."""
+    axes = []
+    for part in text.split(","):
+        try:
+            lo, hi, count = part.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"axis {part!r} is not lo:hi:count") from None
+        if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1):
+            raise argparse.ArgumentTypeError(
+                f"axis {part!r} needs finite bounds and a count of at least 1"
+            )
+        axes.append(np.linspace(lo, hi, count))
+    return axes
 
 
 def cmd_fiber_scan(args) -> int:
@@ -185,7 +189,7 @@ def cmd_fiber_scan(args) -> int:
             file=sys.stderr,
         )
         resolution = MIN_RESOLUTION
-    axes = [_parse_axis(part) for part in args.beta_grid.split(",")]
+    axes = args.beta_grid
     if len(axes) != system.weights.torus_dim:
         raise ParseError(
             f"beta grid needs {system.weights.torus_dim} axes, got {len(axes)}"
@@ -237,6 +241,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ephemera",
@@ -275,10 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="family spec file path or catalog name")
     p.add_argument(
         "--beta-grid",
+        type=_beta_axes,
         default="0.8:2.4:5,0.8:2.4:5",
         help="comma-separated axes lo:hi:count (default 0.8:2.4:5 per axis)",
     )
-    p.add_argument("--c-grid", type=int, default=21, help="levels per chart")
+    p.add_argument("--c-grid", type=_positive_int, default=21, help="levels per chart")
     p.add_argument("--resolution", type=int, default=512)
     p.add_argument("--csv", help="also write the flat CSV table here")
     p.add_argument(

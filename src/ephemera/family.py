@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import SUPPORT_TOL, SystemSpec
-from .errors import ConditionsNotMet, NotTall, UnsupportedSupport
-from .jets import InvariantPolynomial, slice_restriction
+from .classifier import SystemSpec, support_of
+from .errors import ConditionsNotMet, UnsupportedSupport
+from .jets import InvariantPolynomial
 from .lattice import DefiningVector, WeightMatrix, defining_vector, properness_check
 
 COND_TOL = 1e-8
@@ -31,9 +31,6 @@ class FamilySystem:
     @property
     def n(self) -> int:
         return self.weights.n
-
-    def to_json_dict(self) -> dict:
-        return {"weights": [list(row) for row in self.weights.entries]}
 
 
 def build_family(w: WeightMatrix, name: str = "") -> FamilySystem:
@@ -61,10 +58,7 @@ class PolarPoint:
 
     @property
     def support(self) -> tuple[int, ...]:
-        scale = max(self.r, default=0.0)
-        return tuple(
-            i for i, x in enumerate(self.r) if x == 0.0 or x <= SUPPORT_TOL * scale
-        )
+        return support_of(self.r)
 
     def to_complex(self) -> np.ndarray:
         r = np.asarray(self.r, dtype=float)
@@ -171,48 +165,25 @@ def hessian_profile_values(sys: FamilySystem, w: PolarPoint) -> tuple[float, flo
     return theta_val, r_val
 
 
-def taylor_at_support(sys: FamilySystem, w: PolarPoint) -> InvariantPolynomial:
-    """Lowest-degree slice data of g at a point with tall support.
-
-    Equals the imaginary part of (prefactor * defining monomial of the
-    slice), where the prefactor collects the frozen coordinates; all lower
-    order terms vanish.
-    """
-    support = sorted(w.support)
-    xi_r = sys.xi.restrict(support)
-    if not xi_r.tall:
-        raise NotTall(f"support exponents {xi_r.xi} mix signs")
-    return slice_restriction(
-        sys.system.g, w.to_complex(), support, xi_r, max_degree=xi_r.degree_N
-    ).without_constant()
-
-
 def classify_family_point(sys: FamilySystem, w: PolarPoint) -> str:
     """Closed-form label, same vocabulary as the generic classifier."""
-    xi = sys.xi.xi
-    support = sorted(w.support)
-    sub = [xi[i] for i in support]
-    n_support = sum(abs(x) for x in sub)
-    mixed = any(x > 0 for x in sub) and any(x < 0 for x in sub)
+    support = w.support
+    xi_r = sys.xi.restrict(support)
+    n_support = xi_r.degree_N
 
     if n_support == 0:
         # criticality is cut out by the two closed-form conditions
         try:
-            c1, c2 = singularity_conditions(sys, w)
-        except UnsupportedSupport:  # pragma: no cover - n_support == 0 guards this
-            raise
-        others = [j for j in range(sys.n) if j not in set(support)]
-        scale = max(sum(abs(xi[j]) ** 2 / w.r[j] ** 2 for j in others), 1.0)
-        critical = abs(c1) <= COND_TOL and abs(c2) <= COND_TOL * scale
-        if critical:
-            return "purely-elliptic"
-        return "regular" if not support else "regular-mod-phi-elliptic"
-    if mixed:
+            _check_conditions(sys, w)
+        except ConditionsNotMet:
+            return "regular" if not support else "regular-mod-phi-elliptic"
+        return "purely-elliptic"
+    if not xi_r.tall:
         return "short-elliptic" if n_support == 2 else "unclassified-degenerate"
     if n_support == 1:
         return "regular-mod-phi-elliptic" if len(support) >= 2 else "regular"
     if n_support == 2:
-        if sys.xi.restrict(support).component_count() > 1:
+        if xi_r.component_count() > 1:
             return "nondegenerate-ephemeral(hyperbolic-disconnected)"
         return "nondegenerate-ephemeral(focus-focus)"
     return "degenerate-ephemeral"

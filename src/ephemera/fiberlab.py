@@ -36,7 +36,7 @@ class ReducedSurfaceChart:
     support_end: tuple[int, ...]
     collapse_start: bool
     collapse_end: bool
-    degenerate: bool = False  # single-point reduced space
+    degenerate: bool  # single-point reduced space
 
     def radius_profile(self, t) -> np.ndarray:
         """R(t) = prod s_j(t)^(|xi_j|/2) over the moving coordinates."""
@@ -93,20 +93,9 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
     s1 = tuple(s_star[j] + c_max * xi[j] for j in range(n))
     supp0 = tuple(j for j in range(n) if s0[j] == 0)
     supp1 = tuple(j for j in range(n) if s1[j] == 0)
-    collapse0 = any(xi[j] != 0 for j in supp0)
-    collapse1 = any(xi[j] != 0 for j in supp1)
-    if c_min == c_max:
-        return ReducedSurfaceChart(
-            beta=tuple(map(float, beta)),
-            xi=xi,
-            s_start=s0,
-            s_end=s1,
-            support_start=supp0,
-            support_end=supp1,
-            collapse_start=True,
-            collapse_end=True,
-            degenerate=True,
-        )
+    degenerate = c_min == c_max
+    collapse0 = any(xi[j] != 0 for j in supp0) or degenerate
+    collapse1 = any(xi[j] != 0 for j in supp1) or degenerate
     if not (collapse0 and collapse1):
         raise ChartUnsupported(
             "an endpoint circle does not collapse; chart form not applicable"
@@ -120,20 +109,24 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
         support_end=supp1,
         collapse_start=collapse0,
         collapse_end=collapse1,
+        degenerate=degenerate,
     )
 
 
 @dataclass
 class MorseReport:
     critical_points: list  # (t, psi, value, index)
-    euler_characteristic: int
-    level_scan: dict = field(default_factory=dict)
 
     def index_counts(self) -> tuple[int, int, int]:
         counts = [0, 0, 0]
         for _, _, _, idx in self.critical_points:
             counts[idx] += 1
         return tuple(counts)
+
+    @property
+    def euler_characteristic(self) -> int:
+        idx0, idx1, idx2 = self.index_counts()
+        return idx0 - idx1 + idx2
 
 
 def _refine_extremum(profile, lo, hi, iterations: int = 60):
@@ -202,13 +195,7 @@ def critical_scan(chart, resolution: int = 256) -> MorseReport:
             points.append((t_end, 0.0, 0.0, 0))
         elif np.all(ring < -1e-12):
             points.append((t_end, 0.0, 0.0, 2))
-    counts = [0, 0, 0]
-    for _, _, _, idx in points:
-        counts[idx] += 1
-    return MorseReport(
-        critical_points=points,
-        euler_characteristic=counts[0] - counts[1] + counts[2],
-    )
+    return MorseReport(critical_points=points)
 
 
 class _UnionFind:
@@ -349,7 +336,6 @@ def _verdict_for_chart(chart, c_count: int, resolution: int) -> ChartVerdict:
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, resolution + 1))))
     levels = off_critical_levels(morse, c_count, r_max)
     counts = {c: level_components(chart, c, resolution) for c in levels}
-    morse.level_scan = counts
     verdict.morse = morse
     verdict.levels = counts
     idx0, idx1, idx2 = morse.index_counts()

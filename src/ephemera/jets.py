@@ -295,10 +295,7 @@ class ChartFunction:
         return self.xi.degree_N
 
     def chart_scale(self) -> float:
-        # prod over positive exponents, the modulus normalizer of the chart
-        return float(
-            np.prod([float(e) ** e for e in self.xi.xi if e > 0], initial=1.0)
-        )
+        return float(self.xi.q)
 
     def eval(self, u: complex) -> float:
         q = self.chart_scale()
@@ -412,11 +409,7 @@ def chart_jet(p: InvariantPolynomial) -> ChartJet:
     if c_is_exact(c_plus) and c_is_exact(s_mod):
         cp = _coerce(c_plus)
         sm = _coerce(s_mod)
-        q_exact = Fraction(1)
-        for e in p.xi.xi:
-            if e > 0:
-                q_exact *= Fraction(e) ** e
-        exact = (2 * cp.re, -2 * cp.im, sm.re**2 / q_exact)
+        exact = (2 * cp.re, -2 * cp.im, sm.re**2 / Fraction(p.xi.q))
     return ChartJet(A=a, B=b, D=d_val, degree=n, exact=exact)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import InvalidAction
 
@@ -211,6 +211,11 @@ class DefiningVector:
             g = gcd(g, abs(x))
         return g if g > 0 else 1
 
+    @property
+    def q(self) -> int:
+        """prod over positive exponents of xi_j^xi_j, the chart's modulus normalizer."""
+        return prod(e**e for e in self.xi if e > 0)
+
 
 @dataclass(frozen=True)
 class WeightMatrix:
@@ -246,9 +251,6 @@ class WeightMatrix:
     def weight(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def weights(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.weight(j) for j in range(self.n))
-
 
 def defining_vector(w: WeightMatrix) -> DefiningVector:
     """Primitive generator of the kernel of the character map, canonical sign."""
@@ -272,42 +274,6 @@ class StabilizerData:
     slice_weights: tuple[tuple[int, ...], ...]
     xi_restricted: DefiningVector
     lie_basis: tuple[tuple[int, ...], ...]
-
-
-def stabilizer_at(w: WeightMatrix, support) -> StabilizerData:
-    """Stabilizer data for the coordinate subspace where z_i = 0 for i in support."""
-    support = sorted(set(support))
-    if any(i < 0 or i >= w.n for i in support):
-        raise InvalidAction(f"support {support} out of range for n={w.n}")
-    others = [j for j in range(w.n) if j not in support]
-    d = w.torus_dim
-    # constraint matrix: one row per non-vanishing coordinate
-    b = [list(w.weight(j)) for j in others]
-    if b:
-        _, diag, v = smith_normal_form(b)
-        rank_b = sum(1 for i in range(min(len(b), d)) if diag[i][i] != 0)
-        comps = 1
-        for i in range(rank_b):
-            comps *= diag[i][i]
-        lie = tuple(
-            canonical_sign(tuple(v[r][j] for r in range(d)))
-            for j in range(rank_b, d)
-        )
-    else:
-        comps = 1
-        lie = tuple(tuple(1 if r == j else 0 for r in range(d)) for j in range(d))
-    slice_w = tuple(
-        tuple(sum(w.entries[a][i] * vec[a] for a in range(d)) for vec in lie)
-        for i in support
-    )
-    xi_r = defining_vector(w).restrict(support)
-    return StabilizerData(
-        rank=len(lie),
-        component_count=comps,
-        slice_weights=slice_w,
-        xi_restricted=xi_r,
-        lie_basis=lie,
-    )
 
 
 def slice_weights_from_xi(xi: DefiningVector) -> tuple[tuple[int, ...], ...]:

@@ -9,6 +9,7 @@ splitting through the standard Euclidean pairing in the chosen basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,7 @@ def reduced_chart_constant(xi: DefiningVector) -> float:
     if not xi.tall or xi.degree_N < 1:
         raise NotTall(f"chart constant needs a tall model, got {xi.xi}")
     n = xi.degree_N
-    log_q = sum(e * np.log(e) for e in xi.xi if e > 0)
-    return n * float(np.exp(-log_q / n))
+    return n * math.exp(-math.log(xi.q) / n)
 
 
 def sample_zero_level(xi: DefiningVector, count: int, seed: int) -> np.ndarray:

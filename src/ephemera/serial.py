@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -26,14 +27,12 @@ from .classifier import (
 from .errors import ParseError
 from .family import FamilySystem, PolarPoint, build_family
 from .fiberlab import ChartVerdict, ConnectivityReport
-from .jets import InvariantPolynomial, RationalComplex, c_complex, c_is_exact
+from .jets import InvariantPolynomial, RationalComplex, _coerce, c_complex, c_is_exact
 from .lattice import DefiningVector, WeightMatrix
 
 
 def format_coefficient(c) -> str:
     if c_is_exact(c):
-        from .jets import _coerce
-
         c = _coerce(c)
         if c.im == 0:
             return str(c.re)
@@ -55,10 +54,10 @@ def _parse_imaginary_body(body: str) -> Fraction:
 def parse_coefficient(text: str):
     """Inverse of format_coefficient: "1/2", "-1/2i", "1/3+2/5i", "~re,im"."""
     text = text.strip().replace(" ", "")
-    if text.startswith("~"):
-        re_s, im_s = text[1:].split(",")
-        return complex(float(re_s), float(im_s))
     try:
+        if text.startswith("~"):
+            re_s, im_s = text[1:].split(",")
+            return complex(float(re_s), float(im_s))
         if not text.endswith("i"):
             return RationalComplex(Fraction(text), Fraction(0))
         body = text[:-1]
@@ -89,7 +88,10 @@ def polynomial_from_terms(terms: list[dict], xi: DefiningVector) -> InvariantPol
     for item in terms:
         key = (tuple(item["a"]), tuple(item["b"]))
         parsed[key] = parse_coefficient(item["c"])
-    return InvariantPolynomial(terms=parsed, xi=xi)
+    try:
+        return InvariantPolynomial(terms=parsed, xi=xi)
+    except ValueError as exc:
+        raise ParseError(f"bad g_terms: {exc}") from exc
 
 
 @functools.cache
@@ -110,7 +112,8 @@ def load_system_spec(data: dict):
 
     Returns (system_or_family, points, data).  Family entries give a
     FamilySystem; local-model entries give a SystemSpec on the slice.
-    Every listed point must have one coordinate per system coordinate.
+    Every listed point must have one finite coordinate per system
+    coordinate.
     """
     error = _schema_error(data, "system_spec.schema.json")
     if error is not None:
@@ -137,6 +140,8 @@ def load_system_spec(data: dict):
             raise ParseError(
                 f"point {i} has {len(point.r)} coordinates, the system has {coords}"
             )
+        if not all(math.isfinite(x) for x in point.r + point.theta):
+            raise ParseError(f"point {i} has a non-finite coordinate")
     return system, points, data
 
 

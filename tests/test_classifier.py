@@ -1,5 +1,7 @@
 """Generic classification pipeline: criticality, multipliers, block types."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,10 @@ from ephemera.classifier import (
     standard_complex_structure,
     support_of,
 )
-from ephemera.errors import NotCriticalModPhi
+from ephemera.errors import InvalidAction, NotCriticalModPhi
 from ephemera.family import PolarPoint, build_family
 from ephemera.jets import InvariantPolynomial
-from ephemera.lattice import WeightMatrix
+from ephemera.lattice import WeightMatrix, smith_normal_form
 
 FAMILY_11M1 = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAMILY_21M1 = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
@@ -287,17 +289,43 @@ def test_fiber_verdicts():
     assert fiber_verdicts([fake]).connectivity_expected is False
 
 
-def test_stabilizer_slice_matches_lattice_on_families():
-    from ephemera.lattice import stabilizer_at
+def generated_weight_matrices(count: int, seed: int) -> list[WeightMatrix]:
+    """Seeded valid (n-1) x n weight matrices, n in 2..5, entries in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 6))
+        a = rng.integers(-3, 4, size=(n - 1, n))
+        try:
+            out.append(WeightMatrix(tuple(tuple(int(x) for x in row) for row in a)))
+        except InvalidAction:
+            continue
+    return out
 
-    for fam in (FAMILY_11M1, FAMILY_21M1):
-        for support in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-            a = stabilizer_slice(fam.system, support)
-            b = stabilizer_at(fam.weights, support)
-            assert a.rank == b.rank
-            assert a.component_count == b.component_count
-            assert a.slice_weights == b.slice_weights
-            assert a.xi_restricted == b.xi_restricted
+
+def test_stabilizer_slice_matches_snf_oracle_on_generated_weights():
+    # oracle: the stabilizer has as many components as the product of the
+    # nonzero Smith invariants of the weights of the non-vanishing coordinates
+    for w in generated_weight_matrices(60, seed=4):
+        system = build_family(w).system
+        for k in range(w.n + 1):
+            for support in itertools.combinations(range(w.n), k):
+                s = stabilizer_slice(system, support)
+                rows = [w.weight(j) for j in range(w.n) if j not in support]
+                oracle = 1
+                if rows:
+                    _, d, _ = smith_normal_form(rows)
+                    for i in range(min(len(rows), w.torus_dim)):
+                        if d[i][i] != 0:
+                            oracle *= d[i][i]
+                assert s.component_count == oracle, (w.entries, support)
+                assert s.rank == len(s.lie_basis)
+                for zeta in s.lie_basis:
+                    for eta in rows:
+                        assert sum(x * y for x, y in zip(eta, zeta)) == 0
+                xi = s.xi_restricted.xi
+                for comp in range(s.rank):
+                    assert sum(x * eta[comp] for x, eta in zip(xi, s.slice_weights)) == 0
 
 
 def test_slice_basis_choice_does_not_change_labels():

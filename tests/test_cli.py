@@ -1,12 +1,15 @@
 """CLI surface: exit codes, JSON schemas, catalog round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ephemera
 from ephemera.cli import CATALOG_NAMES, main
 from ephemera.errors import ParseError
 from ephemera.jets import InvariantPolynomial, RationalComplex
@@ -21,11 +24,17 @@ from ephemera.serial import (
 )
 
 
+# the child process imports the same ephemera as the tests, installed or not
+PACKAGE_ROOT = str(Path(ephemera.__file__).resolve().parents[1])
+
+
 def run_cli(args, **kwargs):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ephemera.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
 
@@ -329,6 +338,11 @@ def test_tolerance_scale_does_not_leak_between_calls(tmp_path):
         ["fiber-scan", "family_11m1", "--seed", "1"],
         ["classify", "family_11m1", "--seed", "1"],
         ["classify", "family_11m1", "--tolerance-scale", "0"],
+        ["fiber-scan", "family_11m1", "--beta-grid", "1:2"],
+        ["fiber-scan", "family_11m1", "--beta-grid", "1:2:3,1:2:x"],
+        ["fiber-scan", "family_11m1", "--beta-grid", "nan:1:1,1:1:1"],
+        ["fiber-scan", "family_11m1", "--c-grid", "-1"],
+        ["fiber-scan", "family_11m1", "--c-grid", "0"],
     ],
 )
 def test_cli_rejects_removed_and_invalid_options(argv, capsys):
@@ -336,3 +350,81 @@ def test_cli_rejects_removed_and_invalid_options(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _local_model_spec(g_terms) -> str:
+    return json.dumps({"name": "bad", "kind": "local_model", "xi": [1, 1], "g_terms": g_terms})
+
+
+def _family_spec_with_point(point_text: str) -> str:
+    payload = json.loads(catalog_path("family_11m1"))
+    payload["points"] = ["POINT"]
+    return json.dumps(payload).replace('"POINT"', point_text)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param(
+            "classify",
+            _local_model_spec([{"a": [1, 1, 0], "b": [0, 0, 0], "c": "1"}]),
+            id="exponent-length",
+        ),
+        pytest.param(
+            "classify",
+            _local_model_spec([{"a": [1, 1], "b": [0, 0], "c": "-1/2i"}]),
+            id="no-conjugate-mirror",
+        ),
+        pytest.param(
+            "classify",
+            _local_model_spec([{"a": [1, 0], "b": [1, 0], "c": "~1"}]),
+            id="float-coefficient-one-part",
+        ),
+        pytest.param(
+            "classify",
+            _local_model_spec([{"a": [1, 0], "b": [1, 0], "c": "~1,x"}]),
+            id="float-coefficient-not-a-number",
+        ),
+        pytest.param(
+            "classify",
+            _family_spec_with_point('{"r": [1e400, 1.0, 1.0], "theta": [0, 0, 0]}'),
+            id="classify-overflowing-radius",
+        ),
+        pytest.param(
+            "classify",
+            _family_spec_with_point('{"r": [1.0, 1.0, 1.0], "theta": [NaN, 0, 0]}'),
+            id="classify-nan-angle",
+        ),
+        pytest.param(
+            "classify",
+            _family_spec_with_point('{"z": [[Infinity, 0], [1, 0], [1, 0]]}'),
+            id="classify-infinite-z",
+        ),
+        pytest.param(
+            "ephemeral-test",
+            _family_spec_with_point('{"r": [0, 0, NaN], "theta": [0, 0, 0]}'),
+            id="ephemeral-test-nan-radius",
+        ),
+        pytest.param(
+            "ephemeral-test",
+            _family_spec_with_point('{"r": [0, 0, 1], "theta": [0, 0, Infinity]}'),
+            id="ephemeral-test-infinite-angle",
+        ),
+        pytest.param(
+            "ephemeral-test",
+            _family_spec_with_point('{"z": [[0, 0], [0, 0], [NaN, 0]]}'),
+            id="ephemeral-test-nan-z",
+        ),
+    ],
+)
+def test_cli_rejects_malformed_spec_file(command, text, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    assert main([command, str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_package_exports_resolve_once():
+    assert len(ephemera.__all__) == len(set(ephemera.__all__))
+    for name in ephemera.__all__:
+        assert hasattr(ephemera, name), name

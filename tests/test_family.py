@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ephemera.classifier import classify_point
+from ephemera.classifier import classify_point, slice_data
 from ephemera.errors import ConditionsNotMet, NotTall, UnsupportedSupport
 from ephemera.family import (
     PolarPoint,
@@ -16,7 +16,6 @@ from ephemera.family import (
     hessian_profile_values,
     singularity_conditions,
     support_pattern_point,
-    taylor_at_support,
 )
 from ephemera.jets import check_invariance
 from ephemera.lattice import WeightMatrix
@@ -183,25 +182,29 @@ def _phi_at(fam, radii, a):
     )
 
 
-def test_taylor_at_support_examples():
+def slice_data_at(fam, w):
+    return slice_data(fam.system, w.to_complex(), w.support)
+
+
+def test_slice_data_examples():
     w = PolarPoint((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
-    p = taylor_at_support(FAM, w)
+    p = slice_data_at(FAM, w)
     assert check_invariance(p)
     # prefactor wbar_3 = 1: the slice data is Im(z1 z2)
     for z in ([1.0, 2.0], [1j, 1.0], [0.5 + 0.5j, -1.0]):
         assert p.eval(z) == pytest.approx((z[0] * z[1]).imag)
     # prefactor wbar_3 = -i turns it into -Re(z1 z2)
     w = PolarPoint((0.0, 0.0, 1.0), (0.0, 0.0, np.pi / 2.0))
-    p = taylor_at_support(FAM, w)
+    p = slice_data_at(FAM, w)
     for z in ([1.0, 2.0], [1j, 1.0]):
         assert p.eval(z) == pytest.approx(-(z[0] * z[1]).real)
     # cubic family at the same support
     w = PolarPoint((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
-    p = taylor_at_support(FAM_CUBIC, w)
+    p = slice_data_at(FAM_CUBIC, w)
     for z in ([1.0, 2.0], [1j, 1.0]):
         assert p.eval(z) == pytest.approx((z[0] ** 2 * z[1]).imag)
     with pytest.raises(NotTall):
-        taylor_at_support(FAM, PolarPoint((1.0, 0.0, 0.0), (0.0,) * 3))
+        slice_data_at(FAM, PolarPoint((1.0, 0.0, 0.0), (0.0,) * 3))
 
 
 def test_classify_family_point_rules():
@@ -325,6 +328,6 @@ def test_ephemeral_predicate_tracks_support_degree():
             xi_r = fam.xi.restrict(support)
             if not xi_r.tall or xi_r.degree_N < 2:
                 continue
-            p = taylor_at_support(fam, w)
+            p = slice_data_at(fam, w)
             assert vanishes_below_order_mod_phi(p, xi_r.degree_N)
             assert ephemeral_zero_set_test(chart_jet(p)) is True

@@ -6,7 +6,9 @@ from math import gcd
 import numpy as np
 import pytest
 
+from ephemera.classifier import stabilizer_slice
 from ephemera.errors import InvalidAction
+from ephemera.family import build_family
 from ephemera.lattice import (
     DefiningVector,
     WeightMatrix,
@@ -20,9 +22,12 @@ from ephemera.lattice import (
     properness_check,
     slice_weights_from_xi,
     smith_normal_form,
-    stabilizer_at,
     tall_and_degree,
 )
+
+
+def stabilizer_of(w, support):
+    return stabilizer_slice(build_family(w).system, support)
 
 
 def assert_snf_contract(a):
@@ -169,21 +174,21 @@ def test_tall_and_degree():
 
 
 def test_stabilizer_examples():
-    s = stabilizer_at(W_11M1, (0, 1))
+    s = stabilizer_of(W_11M1, (0, 1))
     assert s.rank == 1
     assert s.component_count == 1
     assert s.slice_weights == ((1,), (-1,))
     assert s.xi_restricted.xi == (1, 1)
     assert s.xi_restricted.degree_N == 2
 
-    s = stabilizer_at(W_21M1, (0, 1))
+    s = stabilizer_of(W_21M1, (0, 1))
     assert s.rank == 1
     assert s.component_count == 1
     assert s.slice_weights == ((1,), (-2,))
     assert s.xi_restricted.xi == (2, 1)
     assert s.xi_restricted.degree_N == 3
 
-    s = stabilizer_at(W_N2, ())
+    s = stabilizer_of(W_N2, ())
     assert s.rank == 0
     assert s.component_count == 1
     assert s.xi_restricted.degree_N == 0
@@ -194,7 +199,7 @@ def test_stabilizer_slice_weights_annihilated_by_xi():
     for w in (W_11M1, W_21M1):
         for k in range(w.n + 1):
             for support in itertools.combinations(range(w.n), k):
-                s = stabilizer_at(w, support)
+                s = stabilizer_of(w, support)
                 xi = s.xi_restricted.xi
                 for comp in range(s.rank):
                     assert sum(x * eta[comp] for x, eta in zip(xi, s.slice_weights)) == 0
@@ -206,7 +211,7 @@ def test_stabilizer_component_count_matches_gcd():
         xi = defining_vector(w).xi
         for k in range(w.n + 1):
             for support in itertools.combinations(range(w.n), k):
-                s = stabilizer_at(w, support)
+                s = stabilizer_of(w, support)
                 g = 0
                 for i in support:
                     g = gcd(g, abs(xi[i]))
@@ -276,8 +281,8 @@ def test_degree_gt2_equals_degree_exhaustive():
 
 
 def test_connectivity_obstruction():
-    bad = stabilizer_at(W_21M1, (0, 1))  # restricted degree 3
-    ok = stabilizer_at(W_11M1, (0, 1))  # restricted degree 2
+    bad = stabilizer_of(W_21M1, (0, 1))  # restricted degree 3
+    ok = stabilizer_of(W_11M1, (0, 1))  # restricted degree 2
     assert connectivity_obstruction([bad, bad, bad]) is True
     assert connectivity_obstruction([bad, bad]) is False
     assert connectivity_obstruction([ok, ok, ok]) is False
