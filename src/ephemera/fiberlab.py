@@ -198,73 +198,67 @@ def critical_scan(chart, resolution: int = 256) -> MorseReport:
     return MorseReport(critical_points=points)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def component_count(self) -> int:
-        return sum(1 for x in self.parent if self.parent[x] == x)
-
-
-def level_components(chart, c: float, resolution: int = 256) -> int:
-    """Connected components of the level set {gbar = c} on a cell grid.
+def level_components(chart, levels, resolution: int = 256) -> list[int]:
+    """Connected components of each level set {gbar = c} on a cell grid.
 
     Cells are marked when the corner values straddle c strictly (bilinear
     interpolants cross exactly then); marked cells are merged when edge
     adjacent, wrapping in the angle and identifying collapsed endpoint
-    columns through the pole.  Deterministic fixed scan order.
+    rows through the pole.  The corner bounds are built once per chart;
+    the marked cells of level k are numbered k*n^2 + i*n + j so that cells
+    of different levels never join, and all levels are labelled together
+    by min-label hooking with pointer jumping.  Returns one count per
+    level, in order.
     """
-    resolution = max(int(resolution), MIN_RESOLUTION)
-    ts = np.linspace(0.0, 1.0, resolution + 1)
-    psis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    n = max(int(resolution), MIN_RESOLUTION)
+    ts = np.linspace(0.0, 1.0, n + 1)
+    psis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     values = chart.radius_profile(ts)[:, None] * np.sin(psis)[None, :]
-    corner = [values, np.roll(values, -1, axis=1)]
-    lo = np.minimum(
-        np.minimum(corner[0][:-1], corner[1][:-1]),
-        np.minimum(corner[0][1:], corner[1][1:]),
+    rolled = np.roll(values, -1, axis=1)
+    lo = np.minimum(values[:-1], rolled[:-1])
+    np.minimum(lo, values[1:], out=lo)
+    np.minimum(lo, rolled[1:], out=lo)
+    hi = np.maximum(values[:-1], rolled[:-1])
+    np.maximum(hi, values[1:], out=hi)
+    np.maximum(hi, rolled[1:], out=hi)
+    size = n * n
+    cells = np.concatenate(  # the empty head keeps levels=[] valid
+        [np.zeros(0, dtype=np.int64)]
+        + [np.flatnonzero((lo < c) & (c < hi)) + k * size for k, c in enumerate(levels)]
     )
-    hi = np.maximum(
-        np.maximum(corner[0][:-1], corner[1][:-1]),
-        np.maximum(corner[0][1:], corner[1][1:]),
-    )
-    marked = (lo < c) & (c < hi)
-    cells = np.argwhere(marked)
-    if not len(cells):
-        return 0
-    uf = _UnionFind()
-    marked_set = set(map(tuple, cells))
-    for cell in sorted(marked_set):
-        uf.add(cell)
-        i, j = cell
-        for ni, nj in ((i - 1, j), (i, (j - 1) % resolution)):
-            if (ni, nj) in marked_set:
-                uf.union((ni, nj), cell)
-    first_col = sorted(cell for cell in marked_set if cell[0] == 0)
-    if chart.collapse_start and len(first_col) > 1:
-        for cell in first_col[1:]:
-            uf.union(first_col[0], cell)
-    last_col = sorted(cell for cell in marked_set if cell[0] == resolution - 1)
-    if chart.collapse_end and len(last_col) > 1:
-        for cell in last_col[1:]:
-            uf.union(last_col[0], cell)
-    return uf.component_count()
+    level, local = np.divmod(cells, size)
+    row, col = np.divmod(local, n)
+    # join each marked cell to its marked up (i-1, j) and left (i, j-1 mod n)
+    # neighbours, found by position in the sorted cell numbers
+    has_up = np.flatnonzero(row > 0)
+    a = np.concatenate([has_up, np.arange(len(cells))])
+    target = np.concatenate([cells[has_up] - n, np.where(col > 0, cells - 1, cells + n - 1)])
+    b = np.searchsorted(cells, target)
+    hit = cells.take(b, mode="clip") == target
+    a, b = a[hit], b[hit]
+    # a collapsed pole joins its row: each marked cell there to the first
+    for pole_row, collapsed in ((0, chart.collapse_start), (n - 1, chart.collapse_end)):
+        if collapsed:
+            on_pole = np.flatnonzero(row == pole_row)
+            a = np.concatenate([a, on_pole])
+            b = np.concatenate([b, np.searchsorted(cells, level[on_pole] * size + pole_row * n)])
+    parent = np.arange(len(cells))
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        # parent[x] <= x holds for every cell, so hooking the larger root onto
+        # the smaller makes no cycle; pointer jumping flattens the forest again
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots = level[parent == np.arange(len(cells))]
+    return np.bincount(roots, minlength=len(levels)).tolist()
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ def _verdict_for_chart(chart, c_count: int, resolution: int) -> ChartVerdict:
         return verdict
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, resolution + 1))))
     levels = off_critical_levels(morse, c_count, r_max)
-    counts = {c: level_components(chart, c, resolution) for c in levels}
+    counts = dict(zip(levels, level_components(chart, levels, resolution)))
     verdict.morse = morse
     verdict.levels = counts
     idx0, idx1, idx2 = morse.index_counts()

@@ -28,15 +28,19 @@ from ephemera.serial import (
 PACKAGE_ROOT = str(Path(ephemera.__file__).resolve().parents[1])
 
 
-def run_cli(args, **kwargs):
+def run_python(args, **kwargs):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ephemera.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
+
+
+def run_cli(args, **kwargs):
+    return run_python(["-m", "ephemera.cli", *args], **kwargs)
 
 
 def catalog_path(name: str) -> bytes:
@@ -428,3 +432,15 @@ def test_package_exports_resolve_once():
     assert len(ephemera.__all__) == len(set(ephemera.__all__))
     for name in ephemera.__all__:
         assert hasattr(ephemera, name), name
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy alone adds tens of MB and most of a second to every
+    # CLI start; the program needs numpy only
+    code = (
+        "import sys, ephemera.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

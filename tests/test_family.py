@@ -25,6 +25,11 @@ FAM_CUBIC = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
 CATALOG_POINT = PolarPoint(
     r=(np.sqrt(2.0), np.sqrt(2.0), 1.0), theta=(np.pi / 2.0, 0.0, 0.0)
 )
+# degree 50, xi (15, 4, 13, 18); a tall point on support (1,), of degree 4
+FAM_HIGH_DEGREE = build_family(WeightMatrix(((-2, 1, 2, 0), (0, 2, -2, 1), (1, 2, 1, -2))))
+HIGH_DEGREE_TALL_POINT = PolarPoint(
+    r=(0.6592, 0.0, 0.5102, 0.5041), theta=(5.1099, 5.735, 3.8116, 4.5836)
+)
 
 
 def test_build_family_examples():
@@ -217,6 +222,10 @@ def test_classify_family_point_rules():
         classify_family_point(FAM_CUBIC, PolarPoint((0, 0, 1.0), (0, 0, 0)))
         == "degenerate-ephemeral"
     )
+    assert (
+        classify_family_point(FAM_HIGH_DEGREE, HIGH_DEGREE_TALL_POINT)
+        == "degenerate-ephemeral"
+    )
     # origin: exponents mix signs, short
     assert classify_family_point(FAM, PolarPoint((0, 0, 0), (0, 0, 0))) in (
         "short-elliptic",
@@ -246,6 +255,19 @@ def test_family_agrees_with_generic_classifier():
                 closed = classify_family_point(fam, w)
                 generic = classify_point(fam.system, w.to_complex()).label
                 assert closed == generic, (fam.xi.xi, support, w, closed, generic)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the generic classifier reports unclassified-degenerate where the closed "
+    "form gives degenerate-ephemeral; relative coefficient pruning in "
+    "InvariantPolynomial and reduced_taylor does not mend it",
+)
+def test_high_degree_tall_point_agrees_with_generic_classifier():
+    w = HIGH_DEGREE_TALL_POINT
+    assert classify_point(FAM_HIGH_DEGREE.system, w.to_complex()).label == (
+        classify_family_point(FAM_HIGH_DEGREE, w)
+    )
 
 
 def test_agreement_with_zero_weight_coordinate():

@@ -1,5 +1,6 @@
 """Reduced surfaces, Morse scans, and level-set component counts."""
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from ephemera.errors import EmptyFiber, NotMorse, NotProper
 from ephemera.family import PolarPoint, build_family, eval_polar
 from ephemera.fiberlab import (
+    MIN_RESOLUTION,
     SyntheticChart,
     connectivity_report,
     critical_scan,
@@ -18,6 +20,7 @@ from ephemera.fiberlab import (
 from ephemera.lattice import WeightMatrix
 
 FAM = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
+FAM_CUBIC = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
 FLAT = build_family(WeightMatrix(((1, -1),)))
 
 
@@ -122,9 +125,10 @@ def test_level_components_sphere():
     chart = reduced_surface(FAM, (1, 1))
     report = critical_scan(chart, 512)
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 513))))
-    assert level_components(chart, 2.0 * r_max, 512) == 0
-    for c in off_critical_levels(report, 21, r_max):
-        assert level_components(chart, c, 512) == 1, c
+    assert level_components(chart, [2.0 * r_max], 512) == [0]
+    levels = off_critical_levels(report, 21, r_max)
+    for c, count in zip(levels, level_components(chart, levels, 512), strict=True):
+        assert count == 1, c
 
 
 def test_level_components_synthetic_two_loops():
@@ -134,9 +138,9 @@ def test_level_components_synthetic_two_loops():
     rv = chart.radius_profile(ts)
     saddle, peak = rv[1024], float(rv.max())
     between = 0.5 * (saddle + peak)
-    assert level_components(chart, between, 512) == 2
+    assert level_components(chart, [between], 512) == [2]
     below = 0.5 * saddle
-    assert level_components(chart, below, 512) == 1
+    assert level_components(chart, [below], 512) == [1]
 
 
 def _interval_count_oracle(chart, c, samples=4096):
@@ -165,17 +169,93 @@ def test_level_components_against_interval_oracle():
     for chart in charts:
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 1025))))
         report = critical_scan(chart, 256)
-        from ephemera.fiberlab import off_critical_levels
-
-        for c in off_critical_levels(report, 21, r_max):
-            got = level_components(chart, c, 512)
+        levels = off_critical_levels(report, 21, r_max)
+        for c, got in zip(levels, level_components(chart, levels, 512), strict=True):
             assert got == _interval_count_oracle(chart, c), (chart, c)
+        levels = []
         for _ in range(20):
             c = float(rng.uniform(-0.9, 0.9)) * r_max
             values = [v for _, _, v, _ in report.critical_points]
             if any(abs(c - v) < 5e-3 * r_max for v in values + [0.0]):
                 continue
-            assert level_components(chart, c, 512) == _interval_count_oracle(chart, c)
+            levels.append(c)
+        for c, got in zip(levels, level_components(chart, levels, 512), strict=True):
+            assert got == _interval_count_oracle(chart, c), (chart, c)
+
+
+def _flood_fill_count(chart, c, resolution):
+    """Level components of gbar = c by breadth-first search over cells.
+
+    Rebuilds the strict-straddle mask from gbar on the cell corners and
+    reads nothing else of the chart but which poles collapse: neighbours
+    are edge neighbours, wrapping in the angle, plus every cell of a
+    collapsed pole row.
+    """
+    n = resolution
+    ts = np.linspace(0.0, 1.0, n + 1)
+    psis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    values = chart.gbar(ts[:, None], psis[None, :])
+    shifted = np.roll(values, -1, axis=1)
+    corners = np.stack([values[:-1], shifted[:-1], values[1:], shifted[1:]])
+    marked = (corners.min(axis=0) < c) & (c < corners.max(axis=0))
+    poles = {0: chart.collapse_start, n - 1: chart.collapse_end}
+    seen = np.zeros_like(marked)
+    count = 0
+    for start in zip(*np.nonzero(marked)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            i, j = queue.popleft()
+            neighbours = [(i - 1, j), (i + 1, j), (i, (j - 1) % n), (i, (j + 1) % n)]
+            if poles.get(i, False):
+                neighbours += [(i, k) for k in range(n)]
+            for cell in neighbours:
+                if 0 <= cell[0] < n and marked[cell] and not seen[cell]:
+                    seen[cell] = True
+                    queue.append(cell)
+    return count
+
+
+class _CylinderChart(SyntheticChart):
+    """Constant profile with both ends marked collapsed: a level c != 0 is
+    two pole-to-pole lines that only the pole identification joins."""
+
+    def radius_profile(self, t):
+        return np.ones_like(np.asarray(t, dtype=float))
+
+
+def test_level_components_matches_flood_fill():
+    grid = [(a, b) for a in np.linspace(0.8, 2.4, 5) for b in np.linspace(0.8, 2.4, 5)]
+    charts = [reduced_surface(fam, beta) for fam in (FAM, FAM_CUBIC) for beta in grid]
+    charts += [
+        SyntheticChart(dip=0.2),
+        SyntheticChart(dip=0.7),
+        SyntheticChart(dip=0.7, collapse_start=False),
+        SyntheticChart(dip=0.7, collapse_end=False),
+        _CylinderChart(),
+    ]
+    for chart in charts:
+        r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 65))))
+        levels = off_critical_levels(critical_scan(chart, 64), 21, r_max)
+        levels += [0.0, 1.5 * r_max]
+        got = level_components(chart, levels, 64)
+        assert got == [_flood_fill_count(chart, c, 64) for c in levels], chart
+
+
+def test_level_components_levels_are_independent():
+    for chart in (reduced_surface(FAM, (1, 1)), SyntheticChart(dip=0.7, collapse_end=False)):
+        r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 129))))
+        levels = off_critical_levels(critical_scan(chart, 128), 21, r_max) + [0.0]
+        together = level_components(chart, levels, 128)
+        assert together == [level_components(chart, [c], 128)[0] for c in levels]
+        assert level_components(chart, levels[::-1], 128) == together[::-1]
+        assert level_components(chart, [], 128) == []
+        assert level_components(chart, levels, MIN_RESOLUTION // 2) == level_components(
+            chart, levels, MIN_RESOLUTION
+        )
 
 
 def test_scan_is_deterministic():
@@ -196,12 +276,12 @@ def test_resolution_stability():
     chart = reduced_surface(FAM, (1, 1))
     report = critical_scan(chart, 256)
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 257))))
-    for c in off_critical_levels(report, 11, r_max):
-        assert level_components(chart, c, 256) == level_components(chart, c, 512)
+    levels = off_critical_levels(report, 11, r_max)
+    assert level_components(chart, levels, 256) == level_components(chart, levels, 512)
     synth = SyntheticChart(dip=0.7)
     report = critical_scan(synth, 256)
-    for c in off_critical_levels(report, 11, 1.0):
-        assert level_components(synth, c, 256) == level_components(synth, c, 512)
+    levels = off_critical_levels(report, 11, 1.0)
+    assert level_components(synth, levels, 256) == level_components(synth, levels, 512)
 
 
 def test_connectivity_report_consistent():
