@@ -66,19 +66,23 @@ class SystemSpec:
 
     weights has one row per torus generator (possibly zero rows for a
     finite group); xi presents the kernel of the defining character and is
-    kept non-primitive for disconnected stabilizers.
+    kept non-primitive for disconnected stabilizers.  weight_array holds
+    the weights once more as an integer (d, k) array.
     """
 
     weights: tuple[tuple[int, ...], ...]
     xi: DefiningVector
     g: InvariantPolynomial
     name: str = ""
+    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g.xi != self.xi:
             raise NotInvariant("g carries a different invariance context than the system")
         if not check_invariance(self.g):
             raise NotInvariant("g has a term outside the invariant lattice")
+        w = np.array(self.weights, dtype=int).reshape(len(self.weights), self.coords)
+        object.__setattr__(self, "weight_array", w)
 
     @property
     def coords(self) -> int:
@@ -89,39 +93,32 @@ class SystemSpec:
         return len(self.weights)
 
     # -- moment map ------------------------------------------------------
+    # Integer weights, (-w) * y and sums started at 0.0 give the floats of a
+    # term-by-term sum, signed zeros included.
 
     def phi(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        sq = np.abs(z) ** 2
-        return np.array(
-            [0.5 * sum(w[j] * sq[j] for j in range(self.coords)) for w in self.weights]
-        )
+        """Phi_a(z) = 1/2 sum_j w_aj |z_j|^2 for one point or a (..., k) batch."""
+        sq = np.abs(np.asarray(z, dtype=complex)) ** 2
+        if sq.shape[-1:] != (self.coords,):
+            raise ValueError(f"expected {self.coords} coordinates, got shape {sq.shape}")
+        return 0.5 * np.sum(self.weight_array * sq[..., None, :], axis=-1, initial=0.0)
 
     def dphi(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        out = np.zeros((self.torus_dim, 2 * self.coords))
-        for a, w in enumerate(self.weights):
-            for j in range(self.coords):
-                out[a, 2 * j] = w[j] * z[j].real
-                out[a, 2 * j + 1] = w[j] * z[j].imag
-        return out
+        xy = np.stack([z.real, z.imag], axis=-1)
+        return (self.weight_array[:, :, None] * xy).reshape(self.torus_dim, 2 * self.coords)
 
     def hess_phi(self, mu) -> np.ndarray:
-        diag = np.zeros(2 * self.coords)
-        for a, w in enumerate(self.weights):
-            for j in range(self.coords):
-                diag[2 * j] += mu[a] * w[j]
-                diag[2 * j + 1] += mu[a] * w[j]
-        return np.diag(diag)
+        mu = np.asarray(mu, dtype=float)
+        diag = np.sum(mu[:, None] * self.weight_array, axis=0, initial=0.0)
+        return np.diag(np.repeat(diag, 2))
 
     def orbit_directions(self, z) -> np.ndarray:
+        """Hamiltonian vector fields of the components of Phi, as columns."""
         z = np.asarray(z, dtype=complex)
-        out = np.zeros((2 * self.coords, self.torus_dim))
-        for a, w in enumerate(self.weights):
-            for j in range(self.coords):
-                out[2 * j, a] = -w[j] * z[j].imag
-                out[2 * j + 1, a] = w[j] * z[j].real
-        return out
+        w = self.weight_array
+        columns = np.stack([(-w) * z.imag, w * z.real], axis=-1)
+        return columns.reshape(self.torus_dim, 2 * self.coords).T
 
     # -- invariant function ----------------------------------------------
 
@@ -156,11 +153,7 @@ class SystemSpec:
 
 
 def standard_complex_structure(k: int) -> np.ndarray:
-    j = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        j[2 * i + 1, 2 * i] = 1.0
-        j[2 * i, 2 * i + 1] = -1.0
-    return j
+    return np.kron(np.eye(k), [[0, -1], [1, 0]])
 
 
 def local_model_system(
@@ -174,11 +167,7 @@ def local_model_system(
         if isinstance(xi_entries, DefiningVector)
         else DefiningVector.from_entries(xi_entries)
     )
-    per_coord = slice_weights_from_xi(xi)
-    h = len(per_coord[0]) if per_coord else 0
-    rows = tuple(
-        tuple(per_coord[i][a] for i in range(len(xi.xi))) for a in range(h)
-    )
+    rows = tuple(zip(*slice_weights_from_xi(xi)))
     if g is None:
         g = InvariantPolynomial.imag_defining_monomial(xi)
     return SystemSpec(weights=rows, xi=xi, g=g, name=name)
@@ -249,29 +238,33 @@ def _kernel_of(matrix: np.ndarray, ambient: int) -> np.ndarray:
     return vt[rank:].T
 
 
+def _grad_vanishes_on(kernel: np.ndarray, grad: np.ndarray, tolerance_scale: float) -> bool:
+    """Whether grad is zero on the kernel columns, relative to 1 + |grad|."""
+    if kernel.shape[1] == 0:
+        return True
+    tol = RANK_TOL * tolerance_scale
+    return float(np.linalg.norm(kernel.T @ grad)) <= tol * (1.0 + float(np.linalg.norm(grad)))
+
+
 def is_critical_mod_phi(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> bool:
     """Whether the derivative of g vanishes on the kernel of D(Phi).
 
     tolerance_scale multiplies the relative threshold RANK_TOL.
     """
-    grad = sys.grad_g(z)
     kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
-    if kernel.shape[1] == 0:
-        return True
-    proj = kernel.T @ grad
-    tol = RANK_TOL * tolerance_scale
-    return float(np.linalg.norm(proj)) <= tol * (1.0 + float(np.linalg.norm(grad)))
+    return _grad_vanishes_on(kernel, sys.grad_g(z), tolerance_scale)
 
 
 def lagrange_multiplier(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> np.ndarray:
     """Least-squares mu with d(g - Phi^mu) = 0 at z."""
-    if not is_critical_mod_phi(sys, z, tolerance_scale):
-        raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
     grad = sys.grad_g(z)
+    dphi = sys.dphi(z)
+    if not _grad_vanishes_on(_kernel_of(dphi, 2 * sys.coords), grad, tolerance_scale):
+        raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
     if sys.torus_dim == 0:
         return np.zeros(0)
-    mu, *_ = np.linalg.lstsq(sys.dphi(z).T, grad, rcond=None)
-    residual = float(np.linalg.norm(sys.dphi(z).T @ mu - grad))
+    mu, *_ = np.linalg.lstsq(dphi.T, grad, rcond=None)
+    residual = float(np.linalg.norm(dphi.T @ mu - grad))
     if residual > RANK_TOL * tolerance_scale * (1.0 + float(np.linalg.norm(grad))):
         raise NotCriticalModPhi(f"multiplier residual {residual:.2e} too large")
     return mu
@@ -296,10 +289,10 @@ def slice_hessian_blocks(
     forms spanning less than the complex slice dimension.
     """
     z = np.asarray(z, dtype=complex)
-    if not is_critical_mod_phi(sys, z, tolerance_scale):
-        raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
     k = sys.coords
     kernel = _kernel_of(sys.dphi(z), 2 * k)
+    if not _grad_vanishes_on(kernel, sys.grad_g(z), tolerance_scale):
+        raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
     orbit = sys.orbit_directions(z)
     if orbit.size:
         q, s, _ = np.linalg.svd(orbit, full_matrices=False)
@@ -402,7 +395,7 @@ def _df_rank_full(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> bool:
     """
     kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
     dphi_full = kernel.shape[1] == 2 * sys.coords - sys.torus_dim
-    return dphi_full and not is_critical_mod_phi(sys, z, tolerance_scale)
+    return dphi_full and not _grad_vanishes_on(kernel, sys.grad_g(z), tolerance_scale)
 
 
 def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> SingularityReport:

@@ -81,9 +81,7 @@ def eval_polar(sys: FamilySystem, w: PolarPoint) -> tuple[np.ndarray, float]:
     support; otherwise g is evaluated in cartesian coordinates.
     """
     r = np.asarray(w.r, dtype=float)
-    phi = np.array(
-        [0.5 * sum(row[j] * r[j] ** 2 for j in range(sys.n)) for row in sys.weights.entries]
-    )
+    phi = sys.system.phi(r)
     xi = sys.xi.xi
     support = set(w.support)
     if all(xi[i] == 0 for i in support):

@@ -2,45 +2,24 @@
 
 A model is presented by an exponent vector xi on C^(h+1); the stabilizer it
 encodes is the kernel of the character z -> prod z_j^xi_j, whose identity
-component acts with the weights derived in ``lattice``.  The dual of the
-acting torus's Lie algebra is identified with the annihilator-plus-dual
-splitting through the standard Euclidean pairing in the chosen basis.
+component acts with the weights derived in ``lattice``; its moment map phi_H
+is that of ``classifier.local_model_system(xi)``.  The dual of the acting
+torus's Lie algebra is identified with the annihilator-plus-dual splitting
+through the standard Euclidean pairing in the chosen basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import SystemSpec
 from .errors import NotTall
-from .lattice import DefiningVector, slice_weights_from_xi
+from .lattice import DefiningVector
 
 TAU_RANGE = (1e-3, 1e3)  # scale window for zero-level sampling; avoids overflow in z^xi
-
-
-@dataclass(frozen=True)
-class LocalModel:
-    """Slice presentation of a local model on C^(h+1)."""
-
-    xi: DefiningVector
-    slice_weights: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "slice_weights", slice_weights_from_xi(self.xi))
-
-    @classmethod
-    def from_xi(cls, entries) -> "LocalModel":
-        return cls(xi=DefiningVector.from_entries(entries))
-
-    @property
-    def h(self) -> int:
-        return len(self.slice_weights[0]) if self.slice_weights else 0
-
-    @property
-    def coords(self) -> int:
-        return len(self.xi.xi)
 
 
 @dataclass(frozen=True)
@@ -51,19 +30,9 @@ class ModelPoint:
     z: tuple[complex, ...]
 
 
-def phi_H(model: LocalModel, z) -> np.ndarray:
-    """Homogeneous moment map of the stabilizer: 1/2 sum_i eta_i |z_i|^2."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != model.coords:
-        raise ValueError(f"expected {model.coords} coordinates, got {z.shape[-1]}")
-    sq = np.abs(z) ** 2
-    eta = np.array(model.slice_weights, dtype=float).reshape(model.coords, model.h)
-    return 0.5 * sq @ eta
-
-
-def phi_Y(model: LocalModel, pt: ModelPoint) -> np.ndarray:
-    """Moment map alpha + phi_H(z) in the fixed splitting of the dual algebra."""
-    return np.concatenate([np.asarray(pt.alpha, dtype=float), phi_H(model, pt.z)])
+def phi_Y(model: SystemSpec, pt: ModelPoint) -> np.ndarray:
+    """Moment map alpha + phi_H(z) of a slice system, in the fixed splitting."""
+    return np.concatenate([np.asarray(pt.alpha, dtype=float), model.phi(pt.z)])
 
 
 def defining_poly_eval(xi: DefiningVector, z):

@@ -90,7 +90,7 @@ def polynomial_from_terms(terms: list[dict], xi: DefiningVector) -> InvariantPol
         parsed[key] = parse_coefficient(item["c"])
     try:
         return InvariantPolynomial(terms=parsed, xi=xi)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"bad g_terms: {exc}") from exc
 
 
@@ -142,6 +142,20 @@ def load_system_spec(data: dict):
             )
         if not all(math.isfinite(x) for x in point.r + point.theta):
             raise ParseError(f"point {i} has a non-finite coordinate")
+    # finite input may still overflow; (coefficient scale * (2 max(1, |z|))^deg)^2
+    # bounds every squared value: deg >= 2 covers Phi, 2^deg the Taylor factors
+    g = (system.system if isinstance(system, FamilySystem) else system).g
+    degree = max([2] + [sum(a) + sum(b) for a, b in g.terms])
+    radius = max([1.0] + [r for point in points for r in point.r])
+    try:
+        scale = max([1.0] + [abs(c_complex(c)) for c in g.terms.values()])
+        bound = (scale * (2.0 * radius) ** degree) ** 2
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ParseError(
+            f"spec overflows a float: degree {degree}, max(1, |z|) = {radius:.3g}"
+        )
     return system, points, data
 
 

@@ -25,6 +25,7 @@ from ephemera.family import (
     singularity_conditions,
     support_pattern_point,
 )
+from ephemera.errors import InvalidAction
 from ephemera.fiberlab import connectivity_report
 from ephemera.jets import (
     InvariantPolynomial,
@@ -342,3 +343,39 @@ def test_criterion_9_eigenvalue_symmetry():
             assert np.min(np.abs(eigs + lam)) <= 1e-8 * scale
             assert np.min(np.abs(eigs - np.conj(lam))) <= 1e-8 * scale
     _budget(started, 1.0, "criterion 9: Hamiltonian eigenvalue symmetry")
+
+
+def test_generated_family_label_gate():
+    # criterion 5 on random families: 8 seeded valid weight matrices
+    # (n in {3, 4}, entries in [-2, 2]), every support pattern, 10 points
+    # each, every fifth open-stratum point critical where the signs allow
+    started = time.perf_counter()
+    rng = np.random.default_rng(2024)
+    families = []
+    while len(families) < 8:
+        n = int(rng.integers(3, 5))
+        entries = rng.integers(-2, 3, size=(n - 1, n))
+        try:
+            weights = WeightMatrix(tuple(tuple(int(x) for x in row) for row in entries))
+        except InvalidAction:
+            continue
+        families.append(build_family(weights))
+    checked, critical_points = 0, 0
+    for fam in families:
+        mixed = min(fam.xi.xi) < 0 < max(fam.xi.xi)
+        for k in range(fam.n + 1):
+            for support in itertools.combinations(range(fam.n), k):
+                for trial in range(10):
+                    critical = mixed and not support and trial % 5 == 0
+                    try:
+                        w = support_pattern_point(fam, support, rng, critical=critical)
+                    except ValueError:  # no positive radial sum to solve against
+                        critical = False
+                        w = support_pattern_point(fam, support, rng)
+                    generic = classify_point(fam.system, w.to_complex()).label
+                    assert classify_family_point(fam, w) == generic, (
+                        fam.weights.entries, support, w)
+                    checked += 1
+                    critical_points += critical
+    assert critical_points > 0
+    _budget(started, 15.0, f"generated-family label gate ({checked} points)")

@@ -1,10 +1,12 @@
 """Generic classification pipeline: criticality, multipliers, block types."""
 
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from ephemera.cli import CATALOG_NAMES
 from ephemera.classifier import (
     SystemSpec,
     classify_point,
@@ -21,6 +23,7 @@ from ephemera.errors import InvalidAction, NotCriticalModPhi
 from ephemera.family import PolarPoint, build_family
 from ephemera.jets import InvariantPolynomial
 from ephemera.lattice import WeightMatrix, smith_normal_form
+from ephemera.serial import load_spec_bytes
 
 FAMILY_11M1 = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAMILY_21M1 = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
@@ -112,6 +115,54 @@ def test_dphi_matches_finite_differences():
                 - sys.phi((x - e)[0::2] + 1j * (x - e)[1::2])
             ) / (2 * h)
             assert np.allclose(fd, dphi[:, i], atol=1e-6, rtol=1e-6)
+
+
+def _moment_map_systems() -> list[SystemSpec]:
+    """The catalog systems and local models, (4,) having no weight rows."""
+    systems = []
+    for name in CATALOG_NAMES:
+        raw = resources.files("ephemera").joinpath("data", f"{name}.json").read_bytes()
+        system = load_spec_bytes(raw, name)[0]
+        systems.append(getattr(system, "system", system))
+    return systems + [
+        local_model_system(xi, name=str(xi)) for xi in ((1, 1), (2, 1), (3, 1, 2), (4,))
+    ]
+
+
+@pytest.mark.parametrize("sys", _moment_map_systems(), ids=lambda s: s.name)
+def test_moment_map_matches_its_definitions(sys):
+    rng = np.random.default_rng(13)
+    k, d = sys.coords, sys.torus_dim
+    batch = rng.normal(size=(6, k)) + 1j * rng.normal(size=(6, k))
+    rows = np.array([sys.phi(z) for z in batch]).reshape(6, d)
+    assert np.array_equal(sys.phi(batch), rows)
+    for count in {1, k + 1} - {k}:  # refused, not broadcast
+        with pytest.raises(ValueError):
+            sys.phi(np.ones((2, count)))
+    # the orbit directions are the Hamiltonian vector fields J grad Phi_a
+    jmat = standard_complex_structure(k)
+    for z in batch:
+        assert np.array_equal(sys.orbit_directions(z), jmat @ sys.dphi(z).T)
+    # mu . Phi is quadratic, so central differences give its Hessian
+    mu = rng.normal(size=d)
+    x = np.empty(2 * k)
+    x[0::2], x[1::2] = batch[0].real, batch[0].imag
+
+    def mu_phi(xvec):
+        return float(mu @ sys.phi(xvec[0::2] + 1j * xvec[1::2]))
+
+    h = 1e-3
+    steps = h * np.eye(2 * k)
+    fd = np.array(
+        [
+            [
+                mu_phi(x + a + b) - mu_phi(x + a - b) - mu_phi(x - a + b) + mu_phi(x - a - b)
+                for b in steps
+            ]
+            for a in steps
+        ]
+    ) / (4 * h * h)
+    assert np.allclose(fd, sys.hess_phi(mu), rtol=0.0, atol=1e-7)
 
 
 def test_catalog_point_is_critical():

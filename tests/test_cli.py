@@ -1,5 +1,7 @@
 """CLI surface: exit codes, JSON schemas, catalog round trips."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -360,6 +362,14 @@ def _local_model_spec(g_terms) -> str:
     return json.dumps({"name": "bad", "kind": "local_model", "xi": [1, 1], "g_terms": g_terms})
 
 
+def _mirrored_product_terms(coefficient: str) -> list[dict]:
+    """c z1 z2 plus its conjugate mirror, invariant for xi (1, 1)."""
+    return [
+        {"a": [1, 1], "b": [0, 0], "c": coefficient},
+        {"a": [0, 0], "b": [1, 1], "c": coefficient},
+    ]
+
+
 def _family_spec_with_point(point_text: str) -> str:
     payload = json.loads(catalog_path("family_11m1"))
     payload["points"] = ["POINT"]
@@ -419,6 +429,36 @@ def _family_spec_with_point(point_text: str) -> str:
             _family_spec_with_point('{"z": [[0, 0], [0, 0], [NaN, 0]]}'),
             id="ephemeral-test-nan-z",
         ),
+        pytest.param(
+            "classify",
+            _family_spec_with_point('{"z": [[1, 0], [0, 1], [1e308, 1e308]]}'),
+            id="classify-z-overflows-g",
+        ),
+        pytest.param(
+            "classify",
+            _family_spec_with_point('{"r": [1e200, 1e200, 1e200], "theta": [0, 0, 0]}'),
+            id="classify-radii-overflow-g",
+        ),
+        pytest.param(
+            "ephemeral-test",
+            _family_spec_with_point('{"r": [1e200, 1e200, 1e200], "theta": [0, 0, 0]}'),
+            id="ephemeral-test-radii-overflow-g",
+        ),
+        pytest.param(
+            "classify",
+            _local_model_spec(_mirrored_product_terms("~1e300,0")),
+            id="classify-coefficient-overflows-jet",
+        ),
+        pytest.param(
+            "ephemeral-test",
+            _local_model_spec(_mirrored_product_terms("~1e300,0")),
+            id="ephemeral-test-coefficient-overflows-jet",
+        ),
+        pytest.param(
+            "classify",
+            _local_model_spec(_mirrored_product_terms("1e400")),
+            id="exact-coefficient-beyond-float",
+        ),
     ],
 )
 def test_cli_rejects_malformed_spec_file(command, text, tmp_path, capsys):
@@ -432,6 +472,24 @@ def test_package_exports_resolve_once():
     assert len(ephemera.__all__) == len(set(ephemera.__all__))
     for name in ephemera.__all__:
         assert hasattr(ephemera, name), name
+
+
+def test_bench_trace_targets_resolve():
+    # bench/tracing.py wraps layer functions by module and name; a renamed
+    # or moved target makes every traced benchmark run fail
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for name, module, attr in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            target = vars(getattr(owner, cls_name, object)).get(method)
+        else:
+            target = getattr(owner, attr, None)
+        assert callable(target), name
 
 
 def test_cli_import_loads_no_scipy():

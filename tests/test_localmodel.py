@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from ephemera.classifier import local_model_system
 from ephemera.errors import NotTall
-from ephemera.lattice import DefiningVector
+from ephemera.lattice import DefiningVector, slice_weights_from_xi
 from ephemera.localmodel import (
-    LocalModel,
     ModelPoint,
     defining_poly_eval,
-    phi_H,
     phi_Y,
     reduced_chart_constant,
     sample_zero_level,
@@ -19,23 +18,27 @@ CATALOG_XI = [(2,), (1, 1), (2, 1), (3, 1, 2)]
 
 
 def test_slice_weights_of_models():
-    assert LocalModel.from_xi((1, 1)).slice_weights == ((1,), (-1,))
-    assert LocalModel.from_xi((2, 1)).slice_weights == ((1,), (-2,))
-    assert LocalModel.from_xi((4,)).slice_weights == ((),)
+    def weights(entries):
+        return slice_weights_from_xi(DefiningVector.from_entries(entries))
+
+    assert weights((1, 1)) == ((1,), (-1,))
+    assert weights((2, 1)) == ((1,), (-2,))
+    assert weights((4,)) == ((),)
 
 
 def test_phi_h_examples():
-    m = LocalModel.from_xi((1, 1))
-    assert np.allclose(phi_H(m, [0, 0]), 0.0)
+    # phi_H of a model is the moment map of its slice system
+    m = local_model_system((1, 1))
+    assert np.allclose(m.phi([0, 0]), 0.0)
     for a in (0.3, 1.7, 5.0):
-        assert np.allclose(phi_H(m, [a, a]), 0.0)
-    m = LocalModel.from_xi((2, 1))
-    assert np.allclose(phi_H(m, [np.sqrt(2), 1.0]), 0.0)
-    assert phi_H(m, [1.0, 0.0]) == pytest.approx(0.5)
+        assert np.allclose(m.phi([a, a]), 0.0)
+    m = local_model_system((2, 1))
+    assert np.allclose(m.phi([np.sqrt(2), 1.0]), 0.0)
+    assert m.phi([1.0, 0.0]) == pytest.approx(0.5)
 
 
 def test_phi_y_examples():
-    m = LocalModel.from_xi((1, 1))
+    m = local_model_system((1, 1))
     assert np.allclose(phi_Y(m, ModelPoint(alpha=(), z=(0, 0))), 0.0)
     out = phi_Y(m, ModelPoint(alpha=(0.7, -0.2), z=(0, 0)))
     assert np.allclose(out, [0.7, -0.2, 0.0])
@@ -56,13 +59,13 @@ def test_defining_poly_examples():
 def test_homogeneity():
     rng = np.random.default_rng(4)
     for entries in CATALOG_XI:
-        m = LocalModel.from_xi(entries)
+        m = local_model_system(entries)
         n = m.xi.degree_N
         for _ in range(20):
             z = rng.normal(size=m.coords) + 1j * rng.normal(size=m.coords)
             s = float(rng.uniform(0.2, 3.0))
-            lhs = phi_H(m, s * z)
-            rhs = s**2 * phi_H(m, z)
+            lhs = m.phi(s * z)
+            rhs = s**2 * m.phi(z)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
             pl = defining_poly_eval(m.xi, s * z)
             pr = s**n * defining_poly_eval(m.xi, z)
@@ -71,9 +74,9 @@ def test_homogeneity():
 
 @pytest.mark.parametrize("entries", CATALOG_XI)
 def test_sampler_stays_on_zero_level(entries):
-    m = LocalModel.from_xi(entries)
+    m = local_model_system(entries)
     z = sample_zero_level(m.xi, 500, seed=7)
-    levels = phi_H(m, z)
+    levels = m.phi(z)
     norms = 1.0 + np.sum(np.abs(z) ** 2, axis=1)
     assert np.all(np.max(np.abs(levels), axis=-1, initial=0.0) <= 1e-12 * norms)
     # deterministic per seed
