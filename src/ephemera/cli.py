@@ -182,13 +182,11 @@ def cmd_fiber_scan(args) -> int:
     system, _, _, digest, label = _load(args.spec)
     if not isinstance(system, FamilySystem):
         raise ParseError("fiber-scan needs a family spec (kind = \"family\")")
-    resolution = args.resolution
-    if resolution < MIN_RESOLUTION:
+    if args.resolution < MIN_RESOLUTION:
         print(
-            f"warning: resolution {resolution} below minimum, clamped to {MIN_RESOLUTION}",
+            f"warning: resolution {args.resolution} below minimum, clamped to {MIN_RESOLUTION}",
             file=sys.stderr,
         )
-        resolution = MIN_RESOLUTION
     axes = args.beta_grid
     if len(axes) != system.weights.torus_dim:
         raise ParseError(
@@ -199,7 +197,7 @@ def cmd_fiber_scan(args) -> int:
         system,
         betas,
         c_count=args.c_grid,
-        resolution=resolution,
+        resolution=args.resolution,
         synthetic_check=not args.no_synthetic_check,
     )
     bundle = _bundle(args, digest, label, started)

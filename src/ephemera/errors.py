@@ -45,10 +45,6 @@ class NotProper(EphemeraError):
     """Moment map is not proper (weights not in an open half-space)."""
 
 
-class NotMorse(EphemeraError):
-    """Reduced chart function is degenerate (identically zero)."""
-
-
 class ChartUnsupported(EphemeraError):
     """Reduced chart has a non-collapsing endpoint circle."""
 

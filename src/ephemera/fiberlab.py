@@ -4,19 +4,21 @@ A moment fiber of a proper family reduces to a surface of revolution over
 a segment: squared radii solve an affine system clipped to the positive
 orthant (solved exactly over the rationals), and the leftover angle psi is
 the kernel combination of the coordinate angles.  The induced function is
-R(t) sin(psi) with R the radius profile; Morse data and level-set
-component counts are computed on grids and cross-checked against each
-other.
+R(t) sin(psi) with R the radius profile.  Each chart states the critical
+points of its own profile exactly, so the Morse data do not depend on any
+grid resolution; level-set component counts are taken on a cell grid, and
+the two are cross-checked against each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChartUnsupported, EmptyFiber, NotMorse, NotProper
+from .errors import ChartUnsupported, EmptyFiber, NotProper
 from .family import FamilySystem
 from .lattice import smith_normal_form
 
@@ -53,6 +55,39 @@ class ReducedSurfaceChart:
 
     def gbar(self, t, psi) -> np.ndarray:
         return self.radius_profile(t) * np.sin(np.asarray(psi, dtype=float))
+
+    def profile_critical_points(self) -> list[tuple[float, bool]]:
+        """The one interior critical point of R as [(t, is_max)]: a maximum.
+
+        log R = sum (|xi_j|/2) log s_j(t) sums logarithms of affine functions
+        positive on (0, 1), so it is strictly concave, and its doubled
+        derivative L(t) = sum |xi_j| (s1_j - s0_j) / s_j(t) falls from +inf
+        at the collapsed start to -inf at the collapsed end.  Bisection on
+        the sign of L stops when the midpoint stops moving; a float sum too
+        small to trust its sign is redone exactly, so t brackets the exact
+        root to the last bit.
+        """
+        moving = [(abs(e), a, b) for e, a, b in zip(self.xi, self.s_start, self.s_end) if e]
+        floats = [(k * float(b - a), float(a), float(b)) for k, a, b in moving]
+
+        def slope(t: float):
+            terms = [num / (a * (1.0 - t) + b * t) for num, a, b in floats]
+            total = math.fsum(terms)
+            # each term is off by under 8 roundings of 2**-53, so beyond
+            # 2**-49 times the magnitudes the float sum has the sign of L
+            if abs(total) > 2.0**-49 * math.fsum(map(abs, terms)):
+                return total
+            t = Fraction(t)
+            return sum(k * (b - a) / (a + (b - a) * t) for k, a, b in moving)
+
+        lo, hi, mid = 0.0, 1.0, 0.5
+        while mid not in (lo, hi):
+            value = slope(mid)
+            if value == 0:
+                break
+            lo, hi = (mid, hi) if value > 0 else (lo, mid)
+            mid = 0.5 * (lo + hi)
+        return [(mid, True)]
 
 
 def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
@@ -129,72 +164,21 @@ class MorseReport:
         return idx0 - idx1 + idx2
 
 
-def _refine_extremum(profile, lo, hi, iterations: int = 60):
-    """Golden-section search for an interior extremum of the profile."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    maximize = profile(0.5 * (lo + hi)) >= max(profile(lo), profile(hi))
-    sign = 1.0 if maximize else -1.0
-    a, b = lo, hi
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = sign * profile(c), sign * profile(d)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = sign * profile(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = sign * profile(d)
-    return 0.5 * (a + b)
+def critical_scan(chart) -> MorseReport:
+    """Critical points of R(t) sin(psi) with their Morse indices.
 
-
-def critical_scan(chart, resolution: int = 256) -> MorseReport:
-    """Interior critical points of R(t) sin(psi) with discrete indices.
-
-    Critical points sit where the profile derivative vanishes and the
-    angle is an extremum of the sine; collapsed endpoints are candidate
-    extrema and count only when a surrounding ring has single-signed
-    values (the profile vanishing there normally makes them regular).
+    The chart states the interior critical points of its profile R exactly,
+    so the report does not depend on any grid resolution.  Each one gives
+    two critical points, at psi = pi/2 and 3 pi/2 where the sine is
+    extremal; the Hessian there is diag(R'' sin psi, -R sin psi).
+    Collapsed endpoints carry none: gbar is 0 there, and every ring around
+    one takes both signs and vanishes only at psi = 0 and pi.
     """
-    resolution = max(int(resolution), MIN_RESOLUTION)
-
-    def profile(t):
-        return float(chart.radius_profile(t))
-
-    ts = np.linspace(0.0, 1.0, resolution + 1)
-    rv = chart.radius_profile(ts)
-    if float(np.max(np.abs(rv))) <= 1e-14:
-        raise NotMorse("chart function is identically zero")
-    crit_ts = []
-    dr = np.diff(rv)
-    for i in range(1, len(dr)):
-        if dr[i - 1] == 0.0 and dr[i] == 0.0:
-            continue
-        if dr[i - 1] * dr[i] <= 0.0 and (dr[i - 1] != 0.0 or dr[i] != 0.0):
-            t_c = _refine_extremum(profile, ts[max(i - 1, 0)], ts[min(i + 1, resolution)])
-            if all(abs(t_c - prev) > 2.0 / resolution for prev in crit_ts):
-                crit_ts.append(t_c)
     points = []
-    h = 1.0 / resolution
-    for t_c in crit_ts:
-        r_c = profile(t_c)
-        second = (profile(min(t_c + h, 1.0)) - 2.0 * r_c + profile(max(t_c - h, 0.0))) / h**2
-        concave = second < 0.0
-        points.append((t_c, np.pi / 2.0, r_c, 2 if concave else 1))
-        points.append((t_c, 3.0 * np.pi / 2.0, -r_c, 0 if concave else 1))
-    for t_end, collapsed in ((0.0, chart.collapse_start), (1.0, chart.collapse_end)):
-        if not collapsed:
-            continue
-        # collapsed endpoints carry the value 0; they are critical extrema
-        # only when a surrounding ring stays on one side of that value
-        ring_t = h if t_end == 0.0 else 1.0 - h
-        ring = chart.gbar(np.full(16, ring_t), np.linspace(0, 2 * np.pi, 16, endpoint=False))
-        if np.all(ring > 1e-12):
-            points.append((t_end, 0.0, 0.0, 0))
-        elif np.all(ring < -1e-12):
-            points.append((t_end, 0.0, 0.0, 2))
+    for t, is_max in chart.profile_critical_points():
+        r = float(chart.radius_profile(t))
+        points.append((t, np.pi / 2.0, r, 2 if is_max else 1))
+        points.append((t, 3.0 * np.pi / 2.0, -r, 0 if is_max else 1))
     return MorseReport(critical_points=points)
 
 
@@ -281,6 +265,15 @@ class SyntheticChart:
         s = np.sin(np.pi * t)
         return s * (1.0 - self.dip * s**2)
 
+    def profile_critical_points(self) -> list[tuple[float, bool]]:
+        """R' = pi cos(pi t) (1 - 3 dip sin(pi t)^2): t = 1/2, a maximum
+        while R''(1/2) = -pi^2 (1 - 3 dip) <= 0, and for dip > 1/3 the two
+        maxima where sin(pi t) = 1/sqrt(3 dip)."""
+        if self.dip <= 1.0 / 3.0:
+            return [(0.5, True)]
+        side = math.asin(1.0 / math.sqrt(3.0 * self.dip)) / math.pi
+        return [(side, True), (0.5, False), (1.0 - side, True)]
+
     def gbar(self, t, psi) -> np.ndarray:
         return self.radius_profile(t) * np.sin(np.asarray(psi, dtype=float))
 
@@ -288,7 +281,7 @@ class SyntheticChart:
 @dataclass
 class ChartVerdict:
     beta: tuple[float, ...]
-    status: str  # ok | empty | point | unsupported | not-morse
+    status: str  # ok | empty | point | unsupported; Morse data exact when ok
     morse: MorseReport | None = None
     levels: dict = field(default_factory=dict)
     no_saddles: bool | None = None
@@ -322,11 +315,7 @@ def off_critical_levels(morse: MorseReport, count: int, r_max: float) -> list[fl
 
 def _verdict_for_chart(chart, c_count: int, resolution: int) -> ChartVerdict:
     verdict = ChartVerdict(beta=tuple(chart.beta), status="ok")
-    try:
-        morse = critical_scan(chart, resolution)
-    except NotMorse:
-        verdict.status = "not-morse"
-        return verdict
+    morse = critical_scan(chart)
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, resolution + 1))))
     levels = off_critical_levels(morse, c_count, r_max)
     counts = dict(zip(levels, level_components(chart, levels, resolution)))
@@ -369,10 +358,13 @@ def connectivity_report(
     versus (every sampled nonempty level connected and Euler number 2).
     The verdict is consistent when the two sides agree; an injected
     synthetic saddle profile must come out consistent with both sides
-    negative.  Charts are scanned one after another in grid order.
+    negative.  Charts are scanned one after another in grid order.  The
+    resolution is clamped to MIN_RESOLUTION once, here, and the clamped
+    value sets every grid of the scan and is the one recorded.
     """
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")
+    resolution = max(int(resolution), MIN_RESOLUTION)
     charts = [_chart_row(sys, b, c_count, resolution) for b in beta_grid]
     ok = all(c.consistent for c in charts if c.status == "ok")
     synthetic = None

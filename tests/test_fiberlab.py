@@ -1,12 +1,15 @@
 """Reduced surfaces, Morse scans, and level-set component counts."""
 
+import math
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ephemera.errors import EmptyFiber, NotMorse, NotProper
+from ephemera.errors import EmptyFiber, InvalidAction, NotProper
 from ephemera.family import PolarPoint, build_family, eval_polar
 from ephemera.fiberlab import (
     MIN_RESOLUTION,
@@ -93,7 +96,7 @@ def test_gbar_trivial_values():
 
 def test_critical_scan_sphere_chart():
     chart = reduced_surface(FAM, (1, 1))
-    report = critical_scan(chart, 256)
+    report = critical_scan(chart)
     idx0, idx1, idx2 = report.index_counts()
     assert (idx0, idx1, idx2) == (1, 0, 1)
     assert report.euler_characteristic == 2
@@ -104,26 +107,90 @@ def test_critical_scan_sphere_chart():
 
 def test_critical_scan_synthetic_saddles():
     chart = SyntheticChart(dip=0.7)
-    report = critical_scan(chart, 256)
+    report = critical_scan(chart)
     idx0, idx1, idx2 = report.index_counts()
     assert idx1 == 2
     assert (idx0, idx2) == (2, 2)
     assert report.euler_characteristic == 2
 
 
-class _ZeroChart(SyntheticChart):
-    def radius_profile(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+def _exact_log_slope(chart, t: Fraction) -> Fraction:
+    """L(t) = sum |xi_j| (s1_j - s0_j) / s_j(t), twice (log R)', exactly."""
+    return sum(
+        abs(e) * (b - a) / (a + (b - a) * t)
+        for e, a, b in zip(chart.xi, chart.s_start, chart.s_end)
+        if e
+    )
 
 
-def test_critical_scan_rejects_zero_chart():
-    with pytest.raises(NotMorse):
-        critical_scan(_ZeroChart(), 64)
+def _exact_bisection(chart) -> Fraction:
+    """Root of L by exact bisection, to an eighth of a float spacing."""
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > Fraction(math.ulp(float(lo + hi) / 2)) / 8:
+        mid = (lo + hi) / 2
+        value = _exact_log_slope(chart, mid)
+        if value == 0:
+            return mid
+        lo, hi = (mid, hi) if value > 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+@st.composite
+def _proper_family_charts(draw):
+    """A generated proper family (entries in [-3, 3]) and ok charts over
+    targets (1/2) W s for positive rational squared radii s."""
+    n = draw(st.sampled_from((3, 4, 2)))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    entries = draw(st.lists(row, min_size=n - 1, max_size=n - 1))
+    try:
+        fam = build_family(WeightMatrix(tuple(map(tuple, entries))))
+    except InvalidAction:
+        assume(False)
+    assume(fam.proper)
+    radius = st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16)
+    charts = []
+    for s in draw(st.lists(st.lists(radius, min_size=n, max_size=n), min_size=1, max_size=3)):
+        beta = [sum(w * x for w, x in zip(r, s)) / 2 for r in fam.weights.entries]
+        charts.append(reduced_surface(fam, beta))
+    return charts
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_proper_family_charts())
+def test_family_chart_has_one_exact_interior_maximum(charts):
+    for chart in charts:
+        assert not chart.degenerate
+        (t, is_max), = chart.profile_critical_points()
+        assert 0.0 < t < 1.0 and is_max
+        assert abs(Fraction(t) - _exact_bisection(chart)) <= 4 * Fraction(math.ulp(t))
+        below, above = math.nextafter(t, 0.0), math.nextafter(t, 1.0)
+        assert _exact_log_slope(chart, Fraction(below)) > 0 > _exact_log_slope(
+            chart, Fraction(above)
+        )
+        assert critical_scan(chart).index_counts() == (1, 0, 1)
+
+
+@pytest.mark.parametrize("dip", [0.0, 0.2, 0.5, 0.7, 0.9])
+def test_synthetic_closed_form_matches_sampled_derivative(dip):
+    chart = SyntheticChart(dip=dip)
+    ts = np.linspace(0.0, 1.0, 200001)
+    slope = np.diff(chart.radius_profile(ts))
+    keep = np.flatnonzero(slope != 0.0)
+    turns = np.flatnonzero(np.sign(slope[keep[1:]]) != np.sign(slope[keep[:-1]]))
+    sampled = [(ts[keep[i + 1]], bool(slope[keep[i]] > 0)) for i in turns]
+    stated = chart.profile_critical_points()
+    assert len(stated) == len(sampled)
+    for (t, is_max), (t_sampled, max_sampled) in zip(stated, sampled):
+        assert abs(t - t_sampled) <= 1e-3
+        assert is_max == max_sampled
+    maxima = sum(is_max for _, is_max in stated)
+    minima = len(stated) - maxima
+    assert critical_scan(chart).index_counts() == (maxima, 2 * minima, maxima)
 
 
 def test_level_components_sphere():
     chart = reduced_surface(FAM, (1, 1))
-    report = critical_scan(chart, 512)
+    report = critical_scan(chart)
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 513))))
     assert level_components(chart, [2.0 * r_max], 512) == [0]
     levels = off_critical_levels(report, 21, r_max)
@@ -168,7 +235,7 @@ def test_level_components_against_interval_oracle():
     charts = [reduced_surface(FAM, (1, 1)), SyntheticChart(dip=0.7), SyntheticChart(dip=0.2)]
     for chart in charts:
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 1025))))
-        report = critical_scan(chart, 256)
+        report = critical_scan(chart)
         levels = off_critical_levels(report, 21, r_max)
         for c, got in zip(levels, level_components(chart, levels, 512), strict=True):
             assert got == _interval_count_oracle(chart, c), (chart, c)
@@ -226,6 +293,9 @@ class _CylinderChart(SyntheticChart):
     def radius_profile(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
+    def profile_critical_points(self):
+        return []  # every t is critical; none is isolated
+
 
 def test_level_components_matches_flood_fill():
     grid = [(a, b) for a in np.linspace(0.8, 2.4, 5) for b in np.linspace(0.8, 2.4, 5)]
@@ -239,7 +309,7 @@ def test_level_components_matches_flood_fill():
     ]
     for chart in charts:
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 65))))
-        levels = off_critical_levels(critical_scan(chart, 64), 21, r_max)
+        levels = off_critical_levels(critical_scan(chart), 21, r_max)
         levels += [0.0, 1.5 * r_max]
         got = level_components(chart, levels, 64)
         assert got == [_flood_fill_count(chart, c, 64) for c in levels], chart
@@ -248,7 +318,7 @@ def test_level_components_matches_flood_fill():
 def test_level_components_levels_are_independent():
     for chart in (reduced_surface(FAM, (1, 1)), SyntheticChart(dip=0.7, collapse_end=False)):
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 129))))
-        levels = off_critical_levels(critical_scan(chart, 128), 21, r_max) + [0.0]
+        levels = off_critical_levels(critical_scan(chart), 21, r_max) + [0.0]
         together = level_components(chart, levels, 128)
         assert together == [level_components(chart, [c], 128)[0] for c in levels]
         assert level_components(chart, levels[::-1], 128) == together[::-1]
@@ -272,14 +342,21 @@ def test_scan_is_deterministic():
         assert a.consistent == b.consistent
 
 
+def test_connectivity_report_clamps_resolution_once():
+    betas = [(a, b) for a in (0.9, 1.5) for b in (1.0, 1.8)]
+    low = connectivity_report(FAM, betas, c_count=7, resolution=MIN_RESOLUTION // 2)
+    assert low.resolution == MIN_RESOLUTION
+    assert low == connectivity_report(FAM, betas, c_count=7, resolution=MIN_RESOLUTION)
+
+
 def test_resolution_stability():
     chart = reduced_surface(FAM, (1, 1))
-    report = critical_scan(chart, 256)
+    report = critical_scan(chart)
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 257))))
     levels = off_critical_levels(report, 11, r_max)
     assert level_components(chart, levels, 256) == level_components(chart, levels, 512)
     synth = SyntheticChart(dip=0.7)
-    report = critical_scan(synth, 256)
+    report = critical_scan(synth)
     levels = off_critical_levels(report, 11, 1.0)
     assert level_components(synth, levels, 256) == level_components(synth, levels, 512)
 
