@@ -386,18 +386,6 @@ class SingularityReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _df_rank_full(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> bool:
-    """Whether dF = (D(Phi), dg) has full rank at z.
-
-    Decided as: D(Phi) has full rank and g is not critical modulo Phi.
-    Thresholding the stacked singular values against the largest one
-    instead lets a large |dg| hide a rank drop of D(Phi).
-    """
-    kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
-    dphi_full = kernel.shape[1] == 2 * sys.coords - sys.torus_dim
-    return dphi_full and not _grad_vanishes_on(kernel, sys.grad_g(z), tolerance_scale)
-
-
 def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> SingularityReport:
     """Full classification pipeline for one point of the system.
 
@@ -415,11 +403,12 @@ def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> Sing
     blocks: list[BlockData] = []
 
     if not critical:
-        label = (
-            "regular"
-            if _df_rank_full(sys, z, tolerance_scale)
-            else "regular-mod-phi-elliptic"
-        )
+        # g is not critical modulo Phi, so dF = (D(Phi), dg) has full rank
+        # exactly when D(Phi) does; thresholding the stacked singular values
+        # against the largest one instead lets a large |dg| hide a rank drop
+        kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
+        dphi_full = kernel.shape[1] == 2 * sys.coords - sys.torus_dim
+        label = "regular" if dphi_full else "regular-mod-phi-elliptic"
     else:
         mu = lagrange_multiplier(sys, z, tolerance_scale)
         blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu, tolerance_scale)

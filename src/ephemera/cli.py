@@ -136,13 +136,17 @@ def cmd_ephemeral_test(args) -> int:
     results = []
     for w in points:
         entry: dict = {"point": point_to_json(w)}
-        data = slice_data(spec, w.to_complex(), w.support)
-        degree = data.xi.degree_N
+        xi_r = spec.xi.restrict(w.support)
+        degree = xi_r.degree_N
         entry["support_degree"] = degree
-        if degree < 2:
+        if not xi_r.tall:
+            entry["ephemeral"] = False
+            entry["reason"] = "support not tall"
+        elif degree < 2:
             entry["ephemeral"] = False
             entry["reason"] = "support degree below 2"
         else:
+            data = slice_data(spec, w.to_complex(), w.support)
             vanishes = vanishes_below_order_mod_phi(data, degree)
             entry["vanishes_below_degree"] = vanishes
             if vanishes:

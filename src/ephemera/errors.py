@@ -45,10 +45,6 @@ class NotProper(EphemeraError):
     """Moment map is not proper (weights not in an open half-space)."""
 
 
-class ChartUnsupported(EphemeraError):
-    """Reduced chart has a non-collapsing endpoint circle."""
-
-
 class UnknownName(EphemeraError):
     """Catalog entry does not exist."""
 

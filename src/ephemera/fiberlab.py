@@ -4,10 +4,11 @@ A moment fiber of a proper family reduces to a surface of revolution over
 a segment: squared radii solve an affine system clipped to the positive
 orthant (solved exactly over the rationals), and the leftover angle psi is
 the kernel combination of the coordinate angles.  The induced function is
-R(t) sin(psi) with R the radius profile.  Each chart states the critical
-points of its own profile exactly, so the Morse data do not depend on any
-grid resolution; level-set component counts are taken on a cell grid, and
-the two are cross-checked against each other.
+R(t) sin(psi) with R the radius profile.  Both end circles collapse, so
+every chart is a sphere and R is exactly 0 at t = 0 and t = 1.  Each
+chart states the critical points of its own profile exactly, so the Morse
+data do not depend on any grid resolution; level-set component counts are
+taken on a cell grid, and the two are cross-checked against each other.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChartUnsupported, EmptyFiber, NotProper
+from .errors import EmptyFiber, NotProper
 from .family import FamilySystem
 from .lattice import smith_normal_form
 
@@ -36,8 +37,6 @@ class ReducedSurfaceChart:
     s_end: tuple[Fraction, ...]
     support_start: tuple[int, ...]
     support_end: tuple[int, ...]
-    collapse_start: bool
-    collapse_end: bool
     degenerate: bool  # single-point reduced space
 
     def radius_profile(self, t) -> np.ndarray:
@@ -94,10 +93,10 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
     """Exact segment solve of the reduced space over a target value.
 
     The squared radii satisfy (1/2) W s = beta with s >= 0; the solution
-    set is the segment s* + c xi clipped to the orthant.  An endpoint
-    circle collapses to a point exactly when some clipped coordinate has a
-    nonzero exponent; a surviving circle at an endpoint is reported as
-    unsupported.
+    set is the segment s* + c xi clipped to the orthant.  Properness gives
+    xi both signs; c_min is where a coordinate with xi_j > 0 reaches 0 and
+    c_max where one with xi_j < 0 does, so each endpoint support holds a
+    nonzero exponent and both end circles collapse to points.
     """
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")
@@ -128,13 +127,6 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
     s1 = tuple(s_star[j] + c_max * xi[j] for j in range(n))
     supp0 = tuple(j for j in range(n) if s0[j] == 0)
     supp1 = tuple(j for j in range(n) if s1[j] == 0)
-    degenerate = c_min == c_max
-    collapse0 = any(xi[j] != 0 for j in supp0) or degenerate
-    collapse1 = any(xi[j] != 0 for j in supp1) or degenerate
-    if not (collapse0 and collapse1):
-        raise ChartUnsupported(
-            "an endpoint circle does not collapse; chart form not applicable"
-        )
     return ReducedSurfaceChart(
         beta=tuple(map(float, beta)),
         xi=xi,
@@ -142,9 +134,7 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
         s_end=s1,
         support_start=supp0,
         support_end=supp1,
-        collapse_start=collapse0,
-        collapse_end=collapse1,
-        degenerate=degenerate,
+        degenerate=c_min == c_max,
     )
 
 
@@ -187,12 +177,16 @@ def level_components(chart, levels, resolution: int = 256) -> list[int]:
 
     Cells are marked when the corner values straddle c strictly (bilinear
     interpolants cross exactly then); marked cells are merged when edge
-    adjacent, wrapping in the angle and identifying collapsed endpoint
-    rows through the pole.  The corner bounds are built once per chart;
-    the marked cells of level k are numbered k*n^2 + i*n + j so that cells
-    of different levels never join, and all levels are labelled together
-    by min-label hooking with pointer jumping.  Returns one count per
-    level, in order.
+    adjacent, wrapping in the angle.  The poles need no identification:
+    R is 0 at both ends, so the marked cells of a pole row are those whose
+    inner corners R sin(psi) pass c.  At c != 0 they form one run of
+    adjacent columns, since the sine is unimodal on each half-turn, and the
+    left-neighbour joins connect it; at c = 0 only the cell across psi = pi
+    is marked, since sin(0) is exactly 0.  The corner bounds are
+    built once per chart; the marked cells of level k are numbered
+    k*n^2 + i*n + j so that cells of different levels never join, and all
+    levels are labelled together by min-label hooking with pointer jumping.
+    Returns one count per level, in order.
     """
     n = max(int(resolution), MIN_RESOLUTION)
     ts = np.linspace(0.0, 1.0, n + 1)
@@ -220,12 +214,6 @@ def level_components(chart, levels, resolution: int = 256) -> list[int]:
     b = np.searchsorted(cells, target)
     hit = cells.take(b, mode="clip") == target
     a, b = a[hit], b[hit]
-    # a collapsed pole joins its row: each marked cell there to the first
-    for pole_row, collapsed in ((0, chart.collapse_start), (n - 1, chart.collapse_end)):
-        if collapsed:
-            on_pole = np.flatnonzero(row == pole_row)
-            a = np.concatenate([a, on_pole])
-            b = np.concatenate([b, np.searchsorted(cells, level[on_pole] * size + pole_row * n)])
     parent = np.arange(len(cells))
     while True:
         ra, rb = parent[a], parent[b]
@@ -254,11 +242,7 @@ class SyntheticChart:
     """
 
     dip: float = 0.7
-    collapse_start: bool = True
-    collapse_end: bool = True
     beta: tuple[float, ...] = ()
-    xi: tuple[int, ...] = ()
-    degenerate: bool = False
 
     def radius_profile(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -281,7 +265,7 @@ class SyntheticChart:
 @dataclass
 class ChartVerdict:
     beta: tuple[float, ...]
-    status: str  # ok | empty | point | unsupported; Morse data exact when ok
+    status: str  # ok | empty | point (single-point reduced space); Morse data exact when ok
     morse: MorseReport | None = None
     levels: dict = field(default_factory=dict)
     no_saddles: bool | None = None
@@ -338,8 +322,6 @@ def _chart_row(sys: FamilySystem, beta, c_count: int, resolution: int) -> ChartV
         chart = reduced_surface(sys, beta)
     except EmptyFiber:
         return ChartVerdict(beta=tuple(map(float, beta)), status="empty")
-    except ChartUnsupported:
-        return ChartVerdict(beta=tuple(map(float, beta)), status="unsupported")
     if chart.degenerate:
         return ChartVerdict(beta=tuple(chart.beta), status="point")
     return _verdict_for_chart(chart, c_count, resolution)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from ephemera.classifier import (
+    RANK_TOL,
     classify_point,
     lagrange_multiplier,
     local_model_system,
@@ -169,13 +170,13 @@ def test_criterion_5_family_reproduction():
                     mismatches += 1
             assert mismatches == 0, (fam.xi.xi, support)
     # the closed-form critical point with its stated invariants
-    from ephemera.classifier import _df_rank_full
-
     sys = FAMILY_11M1.system
     c1, c2 = singularity_conditions(FAMILY_11M1, CATALOG_POINT)
     assert abs(c1) <= 1e-12 and abs(c2) <= 1e-12
     report = classify_point(sys, CATALOG_POINT.to_complex())
-    assert _df_rank_full(sys, CATALOG_POINT.to_complex()) is False  # singular
+    z = CATALOG_POINT.to_complex()
+    singular = np.linalg.svd(np.vstack([sys.dphi(z), sys.grad_g(z)]), compute_uv=False)
+    assert singular[-1] <= RANK_TOL * singular[0]  # dF drops rank: singular
     assert report.critical_mod_phi is True
     assert report.label == "purely-elliptic"
     theta_val, r_val = hessian_profile_values(FAMILY_11M1, CATALOG_POINT)

@@ -246,6 +246,30 @@ def test_cli_ephemeral_test_catalog():
     assert entry["ephemeral"] is True
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cli_ephemeral_test_every_catalog_entry(name, tmp_path):
+    out = tmp_path / "e.json"
+    assert main(["ephemeral-test", name, "--out", str(out)]) == 0
+    listed = json.loads(catalog_path(name))["points"]
+    entries = json.loads(out.read_text())["ephemeral_tests"]
+    assert len(entries) == len(listed)
+
+
+def test_cli_ephemeral_test_reports_short_support(tmp_path):
+    # family_11m1 at the origin: support exponents (1, 1, -1) mix signs
+    origin = {"point": {"r": [0.0] * 3, "theta": [0.0] * 3}, "support_degree": 3,
+              "ephemeral": False, "reason": "support not tall"}
+    out = tmp_path / "e.json"
+    assert main(["ephemeral-test", "family_11m1", "--point-index", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ephemeral_tests"] == [origin]
+    payload = json.loads(catalog_path("family_11m1"))
+    del payload["points"]  # the default probe is the origin
+    spec = tmp_path / "no_points.json"
+    spec.write_text(json.dumps(payload))
+    assert main(["ephemeral-test", str(spec), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ephemeral_tests"] == [origin]
+
+
 def test_cli_catalog_list_and_show():
     result = run_cli(["catalog", "list"])
     assert result.returncode == 0

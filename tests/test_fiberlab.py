@@ -1,7 +1,7 @@
 """Reduced surfaces, Morse scans, and level-set component counts."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +34,6 @@ def test_segment_solve_exact():
     assert chart.s_end == (Fraction(2), Fraction(2), Fraction(0))
     assert chart.support_start == (0, 1)
     assert chart.support_end == (2,)
-    assert chart.collapse_start and chart.collapse_end
     assert not chart.degenerate
     # interior squared radii satisfy the moment equations exactly
     for t in (0.25, 0.5, 0.75):
@@ -160,6 +159,10 @@ def _proper_family_charts(draw):
 def test_family_chart_has_one_exact_interior_maximum(charts):
     for chart in charts:
         assert not chart.degenerate
+        # both end circles collapse: each end support holds a nonzero exponent
+        for support in (chart.support_start, chart.support_end):
+            assert any(chart.xi[j] != 0 for j in support)
+        assert chart.radius_profile(0.0) == chart.radius_profile(1.0) == 0.0
         (t, is_max), = chart.profile_critical_points()
         assert 0.0 < t < 1.0 and is_max
         assert abs(Fraction(t) - _exact_bisection(chart)) <= 4 * Fraction(math.ulp(t))
@@ -254,9 +257,8 @@ def _flood_fill_count(chart, c, resolution):
     """Level components of gbar = c by breadth-first search over cells.
 
     Rebuilds the strict-straddle mask from gbar on the cell corners and
-    reads nothing else of the chart but which poles collapse: neighbours
-    are edge neighbours, wrapping in the angle, plus every cell of a
-    collapsed pole row.
+    reads nothing else of the chart: neighbours are edge neighbours,
+    wrapping in the angle.
     """
     n = resolution
     ts = np.linspace(0.0, 1.0, n + 1)
@@ -265,7 +267,6 @@ def _flood_fill_count(chart, c, resolution):
     shifted = np.roll(values, -1, axis=1)
     corners = np.stack([values[:-1], shifted[:-1], values[1:], shifted[1:]])
     marked = (corners.min(axis=0) < c) & (c < corners.max(axis=0))
-    poles = {0: chart.collapse_start, n - 1: chart.collapse_end}
     seen = np.zeros_like(marked)
     count = 0
     for start in zip(*np.nonzero(marked)):
@@ -277,8 +278,6 @@ def _flood_fill_count(chart, c, resolution):
         while queue:
             i, j = queue.popleft()
             neighbours = [(i - 1, j), (i + 1, j), (i, (j - 1) % n), (i, (j + 1) % n)]
-            if poles.get(i, False):
-                neighbours += [(i, k) for k in range(n)]
             for cell in neighbours:
                 if 0 <= cell[0] < n and marked[cell] and not seen[cell]:
                     seen[cell] = True
@@ -286,27 +285,10 @@ def _flood_fill_count(chart, c, resolution):
     return count
 
 
-class _CylinderChart(SyntheticChart):
-    """Constant profile with both ends marked collapsed: a level c != 0 is
-    two pole-to-pole lines that only the pole identification joins."""
-
-    def radius_profile(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    def profile_critical_points(self):
-        return []  # every t is critical; none is isolated
-
-
 def test_level_components_matches_flood_fill():
     grid = [(a, b) for a in np.linspace(0.8, 2.4, 5) for b in np.linspace(0.8, 2.4, 5)]
     charts = [reduced_surface(fam, beta) for fam in (FAM, FAM_CUBIC) for beta in grid]
-    charts += [
-        SyntheticChart(dip=0.2),
-        SyntheticChart(dip=0.7),
-        SyntheticChart(dip=0.7, collapse_start=False),
-        SyntheticChart(dip=0.7, collapse_end=False),
-        _CylinderChart(),
-    ]
+    charts += [SyntheticChart(dip=0.2), SyntheticChart(dip=0.7)]
     for chart in charts:
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 65))))
         levels = off_critical_levels(critical_scan(chart), 21, r_max)
@@ -316,7 +298,7 @@ def test_level_components_matches_flood_fill():
 
 
 def test_level_components_levels_are_independent():
-    for chart in (reduced_surface(FAM, (1, 1)), SyntheticChart(dip=0.7, collapse_end=False)):
+    for chart in (reduced_surface(FAM, (1, 1)), SyntheticChart(dip=0.7)):
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 129))))
         levels = off_critical_levels(critical_scan(chart), 21, r_max) + [0.0]
         together = level_components(chart, levels, 128)
@@ -385,3 +367,12 @@ def test_connectivity_report_flags_empty():
     )
     statuses = [c.status for c in report.charts]
     assert statuses == ["empty", "ok"]
+
+
+def test_connectivity_report_statuses_on_wide_grid():
+    axis = np.linspace(-1.0, 2.5, 15)
+    betas = [(a, b) for a in axis for b in axis]
+    report = connectivity_report(FAM, betas, c_count=5, resolution=64)
+    assert report.all_consistent is True
+    statuses = Counter(c.status for c in report.charts)
+    assert statuses == {"ok": 100, "empty": 104, "point": 21}
