@@ -238,30 +238,25 @@ def _kernel_of(matrix: np.ndarray, ambient: int) -> np.ndarray:
     return vt[rank:].T
 
 
-def _grad_vanishes_on(kernel: np.ndarray, grad: np.ndarray, tolerance_scale: float) -> bool:
-    """Whether grad is zero on the kernel columns, relative to 1 + |grad|."""
+def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0) -> bool:
+    """Whether grad g vanishes on ker D(Phi), the orthonormal columns of kernel.
+
+    The one criticality rule: |kernel^T grad| <= RANK_TOL * tolerance_scale
+    * (1 + |grad|); an empty kernel passes.
+    """
     if kernel.shape[1] == 0:
         return True
     tol = RANK_TOL * tolerance_scale
     return float(np.linalg.norm(kernel.T @ grad)) <= tol * (1.0 + float(np.linalg.norm(grad)))
 
 
-def is_critical_mod_phi(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> bool:
-    """Whether the derivative of g vanishes on the kernel of D(Phi).
+def lagrange_multiplier(dphi, grad, tolerance_scale: float = 1.0) -> np.ndarray:
+    """Least-squares mu with dphi^T mu = grad, dphi listing D(Phi) by rows.
 
-    tolerance_scale multiplies the relative threshold RANK_TOL.
+    Raises NotCriticalModPhi when the residual exceeds RANK_TOL *
+    tolerance_scale * (1 + |grad|), the bound of is_critical_mod_phi.
     """
-    kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
-    return _grad_vanishes_on(kernel, sys.grad_g(z), tolerance_scale)
-
-
-def lagrange_multiplier(sys: SystemSpec, z, tolerance_scale: float = 1.0) -> np.ndarray:
-    """Least-squares mu with d(g - Phi^mu) = 0 at z."""
-    grad = sys.grad_g(z)
-    dphi = sys.dphi(z)
-    if not _grad_vanishes_on(_kernel_of(dphi, 2 * sys.coords), grad, tolerance_scale):
-        raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
-    if sys.torus_dim == 0:
+    if not dphi.shape[0]:
         return np.zeros(0)
     mu, *_ = np.linalg.lstsq(dphi.T, grad, rcond=None)
     residual = float(np.linalg.norm(dphi.T @ mu - grad))
@@ -277,22 +272,21 @@ class BlockData:
 
 
 def slice_hessian_blocks(
-    sys: SystemSpec, z, mu, tolerance_scale: float = 1.0
+    sys: SystemSpec, z, mu, kernel: np.ndarray, stab: StabilizerData
 ) -> tuple[list[BlockData], bool, dict]:
     """Block types of the linearized flow on the reduced symplectic slice.
 
-    Builds the orthogonal complement of the orbit directions inside
-    ker D(Phi) (a J-invariant symplectic subspace), restricts the Hessian
-    of g~ = g - Phi^mu and the stabilizer's quadratic moment components,
-    and reads block types off the spectrum of J times a fixed generic
-    combination.  Degeneracy: a near-zero eigenvalue, or the restricted
-    forms spanning less than the complex slice dimension.
+    kernel holds ker D(Phi) at z as orthonormal columns and stab the
+    stabilizer data of z's support; the point must be critical modulo Phi
+    with multiplier mu.  Builds the orthogonal complement of the orbit
+    directions inside the kernel (a J-invariant symplectic subspace),
+    restricts the Hessian of g~ = g - Phi^mu and the stabilizer's quadratic
+    moment components, and reads block types off the spectrum of J times a
+    fixed generic combination.  Degeneracy: a near-zero eigenvalue, or the
+    restricted forms spanning less than the complex slice dimension.
     """
     z = np.asarray(z, dtype=complex)
     k = sys.coords
-    kernel = _kernel_of(sys.dphi(z), 2 * k)
-    if not _grad_vanishes_on(kernel, sys.grad_g(z), tolerance_scale):
-        raise NotCriticalModPhi(f"point {z} is not critical modulo the moment map")
     orbit = sys.orbit_directions(z)
     if orbit.size:
         q, s, _ = np.linalg.svd(orbit, full_matrices=False)
@@ -318,7 +312,6 @@ def slice_hessian_blocks(
             np.linalg.norm(orbit_on.T @ jmat @ slice_basis)
         )
     hess_gt = sys.hess_g(z) - sys.hess_phi(mu)
-    stab = stabilizer_slice(sys, support_of(z))
     forms = [slice_basis.T @ hess_gt @ slice_basis]
     for zeta in stab.lie_basis:
         forms.append(slice_basis.T @ sys.hess_phi(zeta) @ slice_basis)
@@ -398,7 +391,10 @@ def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> Sing
     tall = xi_r.tall
     n_support = xi_r.degree_N
     diagnostics: dict = {"support_degree": n_support}
-    critical = is_critical_mod_phi(sys, z, tolerance_scale)
+    dphi = sys.dphi(z)
+    kernel = _kernel_of(dphi, 2 * sys.coords)
+    grad = sys.grad_g(z)
+    critical = is_critical_mod_phi(kernel, grad, tolerance_scale)
     mu = None
     blocks: list[BlockData] = []
 
@@ -406,12 +402,11 @@ def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> Sing
         # g is not critical modulo Phi, so dF = (D(Phi), dg) has full rank
         # exactly when D(Phi) does; thresholding the stacked singular values
         # against the largest one instead lets a large |dg| hide a rank drop
-        kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
         dphi_full = kernel.shape[1] == 2 * sys.coords - sys.torus_dim
         label = "regular" if dphi_full else "regular-mod-phi-elliptic"
     else:
-        mu = lagrange_multiplier(sys, z, tolerance_scale)
-        blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu, tolerance_scale)
+        mu = lagrange_multiplier(dphi, grad, tolerance_scale)
+        blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu, kernel, stab)
         diagnostics.update(block_diag)
         kinds = {b.kind for b in blocks}
         if not tall:

@@ -300,7 +300,7 @@ def off_critical_levels(morse: MorseReport, count: int, r_max: float) -> list[fl
 def _verdict_for_chart(chart, c_count: int, resolution: int) -> ChartVerdict:
     verdict = ChartVerdict(beta=tuple(chart.beta), status="ok")
     morse = critical_scan(chart)
-    r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, resolution + 1))))
+    r_max = max(v for _, _, v, _ in morse.critical_points)  # R is 0 at both ends
     levels = off_critical_levels(morse, c_count, r_max)
     counts = dict(zip(levels, level_components(chart, levels, resolution)))
     verdict.morse = morse

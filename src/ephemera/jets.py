@@ -381,12 +381,11 @@ class ChartJet:
 
 
 def chart_jet(p: InvariantPolynomial) -> ChartJet:
-    """Degree-N reduced chart coefficients of a polynomial vanishing below N."""
+    """Degree-N reduced chart coefficients of a polynomial vanishing below N,
+    from one push-down to degree N whose terms below N must all vanish."""
     n = p.xi.degree_N
-    if not vanishes_below_order_mod_phi(p, n):
-        raise PrerequisiteVanishingFailed(
-            "reduced truncation below the model degree does not vanish"
-        )
+    if n < 1:
+        raise OrderOutOfRange(f"need a model degree of at least 1, got {n}")
     reduced = reduced_taylor(p.without_constant(), n)
     scale = p.coefficient_scale()
     c_plus = 0
@@ -400,7 +399,7 @@ def chart_jet(p: InvariantPolynomial) -> ChartJet:
             s_mod = c
         elif not c_is_zero(c, scale):
             raise PrerequisiteVanishingFailed(
-                f"unexpected chart term u^{k} tau^{d} at degree {n}"
+                "reduced truncation below the model degree does not vanish"
             )
     a = 2.0 * c_complex(c_plus).real
     b = -2.0 * c_complex(c_plus).imag

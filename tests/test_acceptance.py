@@ -13,9 +13,7 @@ import numpy as np
 from ephemera.classifier import (
     RANK_TOL,
     classify_point,
-    lagrange_multiplier,
     local_model_system,
-    slice_hessian_blocks,
 )
 from ephemera.family import (
     PolarPoint,
@@ -237,7 +235,9 @@ def test_criterion_6_derivative_checks():
         for _ in range(10):
             w = support_pattern_point(fam, (), rng, critical=True)
             hess = family_hessian(fam, w)
-            mu = lagrange_multiplier(fam.system, w.to_complex())
+            rep = classify_point(fam.system, w.to_complex())
+            assert rep.critical_mod_phi
+            mu = np.array(rep.multiplier)
 
             def g_tilde(radii, angles):
                 z = np.asarray(radii) * np.exp(1j * np.asarray(angles))
@@ -334,9 +334,9 @@ def test_criterion_9_eigenvalue_symmetry():
         (local_model_system((3, 1, 2)), np.zeros(3, complex)),
     ]
     for sys, z in cases:
-        mu = lagrange_multiplier(sys, z)
-        _, _, diag = slice_hessian_blocks(sys, z, mu)
-        eigs = np.array(diag["eigenvalues"])
+        rep = classify_point(sys, z)
+        assert rep.critical_mod_phi
+        eigs = np.array(rep.diagnostics["eigenvalues"])
         if not len(eigs):
             continue
         scale = float(np.max(np.abs(eigs))) or 1.0

@@ -1,17 +1,19 @@
 """Generic classification pipeline: criticality, multipliers, block types."""
 
 import itertools
+from collections import Counter
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import ephemera.classifier
 from ephemera.cli import CATALOG_NAMES
 from ephemera.classifier import (
     SystemSpec,
+    _kernel_of,
     classify_point,
     fiber_verdicts,
-    is_critical_mod_phi,
     lagrange_multiplier,
     local_model_system,
     slice_hessian_blocks,
@@ -33,6 +35,10 @@ CATALOG_POINT = PolarPoint(
 )
 
 
+def _degenerate(rep) -> bool:
+    """Whether the slice blocks of a critical point are degenerate: its
+    label says so exactly then."""
+    return rep.label in ("degenerate-ephemeral", "unclassified-degenerate")
 
 
 def test_system_rejects_noninvariant_g():
@@ -168,29 +174,31 @@ def test_moment_map_matches_its_definitions(sys):
 def test_catalog_point_is_critical():
     sys = FAMILY_11M1.system
     z = CATALOG_POINT.to_complex()
-    assert is_critical_mod_phi(sys, z) is True
+    assert classify_point(sys, z).critical_mod_phi is True
     # same radii, zero angles: the angle residual is 1, not critical
     flat = PolarPoint(r=CATALOG_POINT.r, theta=(0.0, 0.0, 0.0))
-    assert is_critical_mod_phi(sys, flat.to_complex()) is False
+    assert classify_point(sys, flat.to_complex()).critical_mod_phi is False
     # the origin is critical: every derivative below the degree vanishes
-    assert is_critical_mod_phi(sys, np.zeros(3, dtype=complex)) is True
+    assert classify_point(sys, np.zeros(3, dtype=complex)).critical_mod_phi is True
 
 
 def test_lagrange_multiplier_catalog_value():
     sys = FAMILY_11M1.system
     z = CATALOG_POINT.to_complex()
-    mu = lagrange_multiplier(sys, z)
+    mu = np.array(classify_point(sys, z).multiplier)
     assert np.allclose(mu, [1.0, 1.0], atol=1e-9)
     residual = sys.dphi(z).T @ mu - sys.grad_g(z)
     assert np.linalg.norm(residual) <= 1e-8 * (1 + np.linalg.norm(sys.grad_g(z)))
+    # the residual check alone refuses a point that is not critical
+    flat = PolarPoint(CATALOG_POINT.r, (0.0, 0.0, 0.0)).to_complex()
     with pytest.raises(NotCriticalModPhi):
-        lagrange_multiplier(sys, PolarPoint(CATALOG_POINT.r, (0.0, 0.0, 0.0)).to_complex())
+        lagrange_multiplier(sys.dphi(flat), sys.grad_g(flat))
 
 
 def test_multiplier_zero_at_fixed_point():
     # at a torus fixed point with vanishing dg the multiplier is zero
     sys = FAMILY_11M1.system
-    mu = lagrange_multiplier(sys, np.zeros(3, dtype=complex))
+    mu = classify_point(sys, np.zeros(3, dtype=complex)).multiplier
     assert np.allclose(mu, 0.0)
 
 
@@ -201,46 +209,38 @@ def test_multiplier_zero_for_zero_g():
     )
     rng = np.random.default_rng(11)
     z = rng.normal(size=3) + 1j * rng.normal(size=3)
-    assert np.allclose(lagrange_multiplier(sys, z), 0.0)
+    assert np.allclose(classify_point(sys, z).multiplier, 0.0)
 
 
 def test_catalog_point_elliptic_blocks():
     sys = FAMILY_11M1.system
-    z = CATALOG_POINT.to_complex()
-    mu = lagrange_multiplier(sys, z)
-    blocks, degenerate, diag = slice_hessian_blocks(sys, z, mu)
-    assert degenerate is False
-    assert [b.kind for b in blocks] == ["elliptic"]
-    assert diag["slice_dim"] == 2
-    assert diag["j_invariance_defect"] <= 1e-8
+    rep = classify_point(sys, CATALOG_POINT.to_complex())
+    assert _degenerate(rep) is False
+    assert [b.kind for b in rep.blocks] == ["elliptic"]
+    assert rep.diagnostics["slice_dim"] == 2
+    assert rep.diagnostics["j_invariance_defect"] <= 1e-8
 
 
 def test_block_oracle_on_local_models():
     # weight-(1,-1) circle model: quadruple, so a focus-focus pairing
-    sys = local_model_system((1, 1))
-    blocks, degenerate, diag = slice_hessian_blocks(
-        sys, np.zeros(2, complex), np.zeros(1)
-    )
-    assert degenerate is False
-    assert {b.kind for b in blocks} == {"focus-focus"}
+    rep = classify_point(local_model_system((1, 1)), np.zeros(2, complex))
+    assert rep.multiplier == (0.0,)
+    assert _degenerate(rep) is False
+    assert {b.kind for b in rep.blocks} == {"focus-focus"}
     # the g-only spectrum alone is a real pair (recorded, not used as label)
-    g_only = np.array(diag["g_only_eigenvalues"])
+    g_only = np.array(rep.diagnostics["g_only_eigenvalues"])
     assert np.allclose(np.abs(g_only.imag), 0.0, atol=1e-8)
 
     # cyclic two-fold cover on C: hyperbolic pair, disconnected group
-    sys = local_model_system((2,))
-    blocks, degenerate, _ = slice_hessian_blocks(
-        sys, np.zeros(1, complex), np.zeros(0)
-    )
-    assert degenerate is False
-    assert {b.kind for b in blocks} == {"hyperbolic"}
+    rep = classify_point(local_model_system((2,)), np.zeros(1, complex))
+    assert rep.multiplier == ()
+    assert _degenerate(rep) is False
+    assert {b.kind for b in rep.blocks} == {"hyperbolic"}
 
     # cubic model: the slice Hessian of g vanishes identically
-    sys = local_model_system((2, 1))
-    blocks, degenerate, _ = slice_hessian_blocks(
-        sys, np.zeros(2, complex), np.zeros(1)
-    )
-    assert degenerate is True
+    rep = classify_point(local_model_system((2, 1)), np.zeros(2, complex))
+    assert rep.multiplier == (0.0,)
+    assert _degenerate(rep) is True
 
 
 def test_eigenvalue_symmetry_catalog():
@@ -252,9 +252,9 @@ def test_eigenvalue_symmetry_catalog():
         (local_model_system((3, 2)), np.zeros(2, complex)),
     ]
     for sys, z in points:
-        mu = lagrange_multiplier(sys, z)
-        _, _, diag = slice_hessian_blocks(sys, z, mu)
-        eigs = np.array(diag["eigenvalues"])
+        rep = classify_point(sys, z)
+        assert rep.critical_mod_phi
+        eigs = np.array(rep.diagnostics["eigenvalues"])
         if not len(eigs):
             continue
         scale = np.max(np.abs(eigs)) or 1.0
@@ -383,8 +383,7 @@ def test_slice_basis_choice_does_not_change_labels():
     # classification is stable under a rescaled ambient metric on the slice
     sys = FAMILY_11M1.system
     z = CATALOG_POINT.to_complex()
-    mu = lagrange_multiplier(sys, z)
-    blocks, degenerate, _ = slice_hessian_blocks(sys, z, mu)
+    assert classify_point(sys, z).label == "purely-elliptic"
     # perturb the point along the orbit: the label must be unchanged
     for t in (0.3, 1.1, 2.7):
         rotated = z * np.exp(1j * np.array([t, -0.5 * t, 0.5 * t]))
@@ -443,14 +442,47 @@ def test_block_typing_invariant_under_multiplier_shift():
     # by a stabilizer generator must not change block types
     sys = FAMILY_11M1.system
     z = np.array([0.0, 0.0, 1.0], dtype=complex)
-    mu = lagrange_multiplier(sys, z)
-    blocks0, degen0, _ = slice_hessian_blocks(sys, z, mu)
+    rep = classify_point(sys, z)
+    mu = np.array(rep.multiplier)
+    kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
     stab = stabilizer_slice(sys, (0, 1))
     assert stab.lie_basis  # positive-dimensional stabilizer
     for zeta in stab.lie_basis:
         shifted = mu + 0.7 * np.array(zeta, dtype=float)
         residual = sys.dphi(z).T @ shifted - sys.grad_g(z)
         assert np.linalg.norm(residual) <= 1e-10
-        blocks1, degen1, _ = slice_hessian_blocks(sys, z, shifted)
-        assert sorted(b.kind for b in blocks1) == sorted(b.kind for b in blocks0)
-        assert degen1 == degen0
+        blocks1, degen1, _ = slice_hessian_blocks(sys, z, shifted, kernel, stab)
+        assert sorted(b.kind for b in blocks1) == sorted(b.kind for b in rep.blocks)
+        assert degen1 == _degenerate(rep)
+
+
+def test_classify_point_derives_each_quantity_once(monkeypatch):
+    # D(Phi), its kernel, grad g and the stabilizer are built once per point,
+    # whether the point is critical (the catalog point, a tall point) or not
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (SystemSpec, "dphi"),
+        (SystemSpec, "grad_g"),
+        (ephemera.classifier, "_kernel_of"),
+        (ephemera.classifier, "stabilizer_slice"),
+    ):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    sys = FAMILY_11M1.system
+    flat = PolarPoint(r=CATALOG_POINT.r, theta=(0.0, 0.0, 0.0))
+    for z, critical in (
+        (CATALOG_POINT.to_complex(), True),
+        (np.array([0.0, 0.0, 1.0], dtype=complex), True),
+        (flat.to_complex(), False),
+    ):
+        counts.clear()
+        assert classify_point(sys, z).critical_mod_phi is critical
+        assert counts == {"dphi": 1, "grad_g": 1, "_kernel_of": 1, "stabilizer_slice": 1}
+

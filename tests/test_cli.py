@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ephemera
+import ephemera.classifier
+from ephemera.classifier import local_model_system
 from ephemera.cli import CATALOG_NAMES, main
 from ephemera.errors import ParseError
 from ephemera.jets import InvariantPolynomial, RationalComplex
@@ -498,13 +502,18 @@ def test_package_exports_resolve_once():
         assert hasattr(ephemera, name), name
 
 
-def test_bench_trace_targets_resolve():
-    # bench/tracing.py wraps layer functions by module and name; a renamed
-    # or moved target makes every traced benchmark run fail
+def _bench_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_trace_targets_resolve():
+    # bench/tracing.py wraps layer functions by module and name; a renamed
+    # or moved target makes every traced benchmark run fail
+    tracing = _bench_tracing()
     assert tracing.TARGETS
     for name, module, attr in tracing.TARGETS:
         owner = importlib.import_module(module)
@@ -514,6 +523,32 @@ def test_bench_trace_targets_resolve():
         else:
             target = getattr(owner, attr, None)
         assert callable(target), name
+
+
+def test_bench_trace_sees_every_classifier_stage():
+    # bench/tracing.py wraps each target where callers look it up (module
+    # globals, class attributes); a stage reached any other way, such as a
+    # private core behind the public name, would drop out of the trace
+    tracing = _bench_tracing()
+    family, points, _ = load_system_spec(json.loads(catalog_path("family_11m1")))
+    cases = [(family.system, w.to_complex()) for w in points]
+    cases.append((local_model_system((2, 1)), np.zeros(2, complex)))  # tall, N = 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reports = [ephemera.classifier.classify_point(spec, z) for spec, z in cases]
+    finally:
+        tracer.uninstall()
+    assert any(r.tall and r.degree_N >= 2 and r.critical_mod_phi for r in reports)
+    calls = Counter(tracer.names[k] for k in tracer.name_idx)
+    critical = sum(r.critical_mod_phi for r in reports)
+    for name, module, _ in tracing.TARGETS:
+        if module in ("ephemera.classifier", "ephemera.jets"):
+            assert calls[name] > 0, name
+    assert calls["classifier.is_critical_mod_phi"] == len(cases)
+    assert calls["classifier.stabilizer_slice"] == len(cases)
+    assert calls["classifier.lagrange_multiplier"] == critical
+    assert calls["classifier.slice_hessian_blocks"] == critical
 
 
 def test_cli_import_loads_no_scipy():

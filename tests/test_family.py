@@ -93,9 +93,9 @@ def test_family_hessian_matches_finite_differences():
             assert abs(c1) <= 1e-9 and abs(c2) <= 1e-9
             hess = family_hessian(fam, w)
             mu_sys = fam.system
-            from ephemera.classifier import lagrange_multiplier
-
-            mu = lagrange_multiplier(mu_sys, w.to_complex())
+            rep = classify_point(mu_sys, w.to_complex())
+            assert rep.critical_mod_phi
+            mu = np.array(rep.multiplier)
 
             def g_tilde(rr, tt):
                 z = np.asarray(rr) * np.exp(1j * np.asarray(tt))

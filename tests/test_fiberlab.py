@@ -331,6 +331,19 @@ def test_connectivity_report_clamps_resolution_once():
     assert low == connectivity_report(FAM, betas, c_count=7, resolution=MIN_RESOLUTION)
 
 
+def test_sampled_levels_do_not_depend_on_resolution():
+    # the levels are spread over the exact profile maximum, so every chart,
+    # the synthetic control included, samples the same levels at any grid
+    betas = [(a, b) for a in (0.9, 1.5, 2.2) for b in (0.6, 1.0, 1.8)]
+    for fam in (FAM, FAM_CUBIC):
+        coarse = connectivity_report(fam, betas, c_count=7, resolution=64)
+        fine = connectivity_report(fam, betas, c_count=7, resolution=512)
+        assert sum(c.status == "ok" for c in coarse.charts) >= 6
+        for a, b in zip(coarse.charts + [coarse.synthetic_check],
+                        fine.charts + [fine.synthetic_check]):
+            assert list(a.levels) == list(b.levels), a.beta
+
+
 def test_resolution_stability():
     chart = reduced_surface(FAM, (1, 1))
     report = critical_scan(chart)
