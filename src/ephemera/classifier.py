@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NotCriticalModPhi, NotInvariant, NotTall
 from .jets import (
     InvariantPolynomial,
+    c_complex,
     chart_jet,
     check_invariance,
     ephemeral_zero_set_test,
@@ -67,7 +68,10 @@ class SystemSpec:
     weights has one row per torus generator (possibly zero rows for a
     finite group); xi presents the kernel of the defining character and is
     kept non-primitive for disconnected stabilizers.  weight_array holds
-    the weights once more as an integer (d, k) array.
+    the weights once more as an integer (d, k) array and complex_structure
+    the standard J on R^2k.  The Wirtinger derivative tables of g are
+    built on first use (a fiber scan never needs them), and stabilizers
+    holds the stabilizer data of each support seen so far.
     """
 
     weights: tuple[tuple[int, ...], ...]
@@ -75,6 +79,9 @@ class SystemSpec:
     g: InvariantPolynomial
     name: str = ""
     weight_array: np.ndarray = field(init=False, repr=False, compare=False)
+    complex_structure: np.ndarray = field(init=False, repr=False, compare=False)
+    stabilizers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    g_derivatives: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.g.xi != self.xi:
@@ -83,6 +90,7 @@ class SystemSpec:
             raise NotInvariant("g has a term outside the invariant lattice")
         w = np.array(self.weights, dtype=int).reshape(len(self.weights), self.coords)
         object.__setattr__(self, "weight_array", w)
+        object.__setattr__(self, "complex_structure", standard_complex_structure(self.coords))
 
     @property
     def coords(self) -> int:
@@ -125,31 +133,55 @@ class SystemSpec:
     def g_value(self, z) -> float:
         return self.g.eval(z)
 
+    def _derivative_tables(self) -> tuple[list, dict]:
+        """(d g/d z_j by j, (d2 g/dz_l dz_j, d2 g/dzbar_l dz_j) by (j, l >= j)).
+
+        Raw term dicts with complex coefficients, derived exactly once and
+        converted once, in the term order of wirtinger_terms.
+        """
+        if self.g_derivatives is None:
+            k = self.coords
+            dz = [self.g.wirtinger(j) for j in range(k)]
+            first = [_complex_terms(d) for d in dz]
+            second = {
+                (j, l): (
+                    _complex_terms(wirtinger_terms(dz[j], l, conjugate=False)),
+                    _complex_terms(wirtinger_terms(dz[j], l, conjugate=True)),
+                )
+                for j in range(k)
+                for l in range(j, k)
+            }
+            object.__setattr__(self, "g_derivatives", (first, second))
+        return self.g_derivatives
+
     def grad_g(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
+        first, _ = self._derivative_tables()
         out = np.zeros(2 * self.coords)
-        for j in range(self.coords):
-            fz = eval_terms(self.g.wirtinger(j), z)
+        for j, terms in enumerate(first):
+            fz = eval_terms(terms, z)
             out[2 * j] = 2.0 * fz.real
             out[2 * j + 1] = -2.0 * fz.imag
         return out
 
     def hess_g(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        k = self.coords
-        out = np.zeros((2 * k, 2 * k))
-        dz = [self.g.wirtinger(j) for j in range(k)]
-        for j in range(k):
-            for l in range(j, k):
-                p = eval_terms(wirtinger_terms(dz[j], l, conjugate=False), z)
-                q = eval_terms(wirtinger_terms(dz[j], l, conjugate=True), z)
-                out[2 * j, 2 * l] = 2.0 * (p + q).real
-                out[2 * j, 2 * l + 1] = -2.0 * (p - q).imag
-                out[2 * j + 1, 2 * l] = -2.0 * (p + q).imag
-                out[2 * j + 1, 2 * l + 1] = -2.0 * (p - q).real
+        _, second = self._derivative_tables()
+        out = np.zeros((2 * self.coords, 2 * self.coords))
+        for (j, l), (p_terms, q_terms) in second.items():
+            p = eval_terms(p_terms, z)
+            q = eval_terms(q_terms, z)
+            out[2 * j, 2 * l] = 2.0 * (p + q).real
+            out[2 * j, 2 * l + 1] = -2.0 * (p - q).imag
+            out[2 * j + 1, 2 * l] = -2.0 * (p + q).imag
+            out[2 * j + 1, 2 * l + 1] = -2.0 * (p - q).real
         # symmetrize: mixed partials commute for polynomials
         out = np.triu(out) + np.triu(out, 1).T
         return out
+
+
+def _complex_terms(terms: dict) -> dict:
+    return {key: c_complex(c) for key, c in terms.items()}
 
 
 def standard_complex_structure(k: int) -> np.ndarray:
@@ -188,7 +220,10 @@ def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
     gcd of the restricted defining exponents (the finite part lives in the
     kernel character, not in the weight rows).
     """
-    support = sorted(set(support))
+    support = tuple(sorted(set(support)))
+    cached = sys.stabilizers.get(support)
+    if cached is not None:
+        return cached
     others = [j for j in range(sys.coords) if j not in support]
     d = sys.torus_dim
     rows = [[sys.weights[a][j] for a in range(d)] for j in others]
@@ -203,13 +238,15 @@ def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
         for i in support
     )
     xi_r = sys.xi.restrict(support)
-    return StabilizerData(
+    stab = StabilizerData(
         rank=len(lie),
         component_count=xi_r.component_count(),
         slice_weights=slice_w,
         xi_restricted=xi_r,
         lie_basis=lie,
     )
+    sys.stabilizers[support] = stab
+    return stab
 
 
 def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
@@ -297,7 +334,7 @@ def slice_hessian_blocks(
     u, s, _ = np.linalg.svd(reduced, full_matrices=False)
     slice_basis = u[:, s > 0.5]  # kernel columns keep unit length off the orbit
     dim = slice_basis.shape[1]
-    jmat = standard_complex_structure(k)
+    jmat = sys.complex_structure
     diagnostics: dict = {"slice_dim": dim}
     if dim == 0:
         return [], False, diagnostics

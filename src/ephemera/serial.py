@@ -159,13 +159,46 @@ def load_system_spec(data: dict):
     return system, points, data
 
 
-def parse_point(entry: dict) -> PolarPoint:
-    if "r" in entry:
+def _point_numbers(entry, value, what: str) -> list:
+    """value as a list of JSON numbers that fit a float (true/false are not numbers)."""
+    if not isinstance(value, list):
+        raise ParseError(f"bad point {entry}: {what} is not a list")
+    for x in value:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError(f"bad point {entry}: {what} holds {x!r}, not a number")
         try:
-            return PolarPoint(r=tuple(entry["r"]), theta=tuple(entry["theta"]))
+            float(x)
+        except OverflowError as exc:
+            raise ParseError(f"bad point {entry}: {what} holds a number beyond a float") from exc
+    return value
+
+
+def parse_point(entry) -> PolarPoint:
+    """One listed point: {"r": [...], "theta": [...]} or {"z": [[re, im], ...]}.
+
+    The one check of a point's shape (the schema only asks for an object):
+    exactly one of the two key sets, lists of numbers, nonnegative radii as
+    many as the angles, and each z entry a pair.  Finiteness and the
+    coordinate count are checked against the system by load_system_spec.
+    """
+    if not isinstance(entry, dict) or set(entry) not in ({"r", "theta"}, {"z"}):
+        raise ParseError(f"bad point {entry}: expected the keys r and theta, or z alone")
+    if "r" in entry:
+        r = _point_numbers(entry, entry["r"], "r")
+        theta = _point_numbers(entry, entry["theta"], "theta")
+        try:
+            return PolarPoint(r=tuple(r), theta=tuple(theta))
         except ValueError as exc:
             raise ParseError(f"bad point {entry}: {exc}") from exc
-    z = [complex(re_im[0], re_im[1]) for re_im in entry["z"]]
+    pairs = entry["z"]
+    if not isinstance(pairs, list):
+        raise ParseError(f"bad point {entry}: z is not a list")
+    z = []
+    for pair in pairs:
+        re_im = _point_numbers(entry, pair, "a z entry")
+        if len(re_im) != 2:
+            raise ParseError(f"bad point {entry}: z entry {pair} is not a pair")
+        z.append(complex(re_im[0], re_im[1]))
     return PolarPoint.from_complex(np.array(z))
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -22,9 +23,9 @@ from ephemera.classifier import (
     support_of,
 )
 from ephemera.errors import InvalidAction, NotCriticalModPhi
-from ephemera.family import PolarPoint, build_family
-from ephemera.jets import InvariantPolynomial
-from ephemera.lattice import WeightMatrix, smith_normal_form
+from ephemera.family import PolarPoint, build_family, support_pattern_point
+from ephemera.jets import InvariantPolynomial, eval_terms, wirtinger_terms
+from ephemera.lattice import DefiningVector, WeightMatrix, smith_normal_form
 from ephemera.serial import load_spec_bytes
 
 FAMILY_11M1 = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
@@ -486,3 +487,123 @@ def test_classify_point_derives_each_quantity_once(monkeypatch):
         assert classify_point(sys, z).critical_mod_phi is critical
         assert counts == {"dphi": 1, "grad_g": 1, "_kernel_of": 1, "stabilizer_slice": 1}
 
+
+
+def _derivatives_oracle(sys: SystemSpec, z) -> tuple[np.ndarray, np.ndarray]:
+    """grad g and hess g with every Wirtinger derivative rebuilt from the
+    exact terms of g at each call."""
+    k = sys.coords
+    grad = np.zeros(2 * k)
+    hess = np.zeros((2 * k, 2 * k))
+    for j in range(k):
+        dz = wirtinger_terms(sys.g.terms, j)
+        fz = eval_terms(dz, z)
+        grad[2 * j] = 2.0 * fz.real
+        grad[2 * j + 1] = -2.0 * fz.imag
+        for l in range(j, k):
+            p = eval_terms(wirtinger_terms(dz, l, conjugate=False), z)
+            q = eval_terms(wirtinger_terms(dz, l, conjugate=True), z)
+            hess[2 * j, 2 * l] = 2.0 * (p + q).real
+            hess[2 * j, 2 * l + 1] = -2.0 * (p - q).imag
+            hess[2 * j + 1, 2 * l] = -2.0 * (p + q).imag
+            hess[2 * j + 1, 2 * l + 1] = -2.0 * (p - q).real
+    return grad, np.triu(hess) + np.triu(hess, 1).T
+
+
+def _derivative_systems() -> list[SystemSpec]:
+    """Catalog systems, the four local models, seeded generated families, and
+    a g with many terms per derivative, exact and with float coefficients."""
+    xi = DefiningVector.from_entries((1, 2, 1))
+    dense = (
+        InvariantPolynomial.imag_defining_monomial(xi)
+        + InvariantPolynomial.real_defining_monomial(xi).scale(Fraction(1, 3))
+        + InvariantPolynomial.radius_power(xi, 2).scale(Fraction(1, 5))
+        + InvariantPolynomial.radius_power(xi, 3).scale(Fraction(-1, 7))
+    )
+    return (
+        _moment_map_systems()
+        + [local_model_system((2,), name="(2,)")]
+        + [build_family(w).system for w in generated_weight_matrices(12, seed=31)]
+        + [
+            local_model_system(xi, g=dense, name="dense"),
+            local_model_system(xi, g=dense.pullback_rotation((0.3, -1.1, 2.0)), name="dense-float"),
+        ]
+    )
+
+
+def test_compiled_derivatives_match_per_call_oracle_bit_for_bit():
+    # the tables hold the same exact derivatives, converted to complex once,
+    # in the same term order: every float must come out identical
+    rng = np.random.default_rng(32)
+    for sys in _derivative_systems():
+        k = sys.coords
+        for support in itertools.chain.from_iterable(
+            itertools.combinations(range(k), m) for m in range(k + 1)
+        ):
+            for _ in range(3):
+                z = rng.uniform(0.5, 2.0, size=k) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k))
+                z[list(support)] = 0.0
+                grad, hess = _derivatives_oracle(sys, z)
+                assert sys.grad_g(z).tobytes() == grad.tobytes(), (sys.name, support)
+                assert sys.hess_g(z).tobytes() == hess.tobytes(), (sys.name, support)
+
+
+def _wirtinger_calls(monkeypatch) -> Counter:
+    counts = Counter()
+    original = InvariantPolynomial.wirtinger
+
+    def counted(self, *args, **kwargs):
+        counts["wirtinger"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(InvariantPolynomial, "wirtinger", counted)
+    return counts
+
+
+def test_derivatives_of_g_are_built_once_per_spec(monkeypatch):
+    # classifying 1 or 50 points of one spec derives g the same number of times
+    counts = _wirtinger_calls(monkeypatch)
+    rng = np.random.default_rng(33)
+    points = [
+        support_pattern_point(FAMILY_21M1, support, rng).to_complex()
+        for support in ((), (0,), (1,), (0, 1), (2,)) * 10
+    ]
+    made = []
+    for batch in (points[:1], points):
+        counts.clear()
+        sys = SystemSpec(weights=FAMILY_21M1.system.weights, xi=FAMILY_21M1.xi, g=FAMILY_21M1.system.g)
+        for z in batch:
+            classify_point(sys, z)
+        made.append(counts["wirtinger"])
+    assert made[0] == made[1] == sys.coords
+
+
+def test_fiber_scan_never_derives_g(monkeypatch, tmp_path):
+    # the tables are built on first use, and a fiber scan never evaluates grad g
+    from ephemera.cli import main
+
+    counts = _wirtinger_calls(monkeypatch)
+    assert main(["fiber-scan", "family_11m1", "--out", str(tmp_path / "scan.json")]) == 0
+    assert counts["wirtinger"] == 0
+
+
+def test_memoised_stabilizer_slice_matches_a_fresh_spec():
+    # every support, visited in a shuffled order with repeats, against a
+    # new SystemSpec (empty memo) that computes that support alone
+    rng = np.random.default_rng(34)
+    systems = _moment_map_systems() + [
+        build_family(w).system for w in generated_weight_matrices(30, seed=35)
+    ]
+    for sys in systems:
+        k = sys.coords
+        supports = [
+            s for m in range(k + 1) for s in itertools.combinations(range(k), m)
+        ] * 2
+        memo = SystemSpec(weights=sys.weights, xi=sys.xi, g=sys.g, name=sys.name)
+        for i in rng.permutation(len(supports)):
+            support = supports[i]
+            fresh = SystemSpec(weights=sys.weights, xi=sys.xi, g=sys.g, name=sys.name)
+            got = stabilizer_slice(memo, tuple(reversed(support)))
+            assert got == stabilizer_slice(fresh, support), (sys.name, support)
+            assert stabilizer_slice(memo, support) is got
+        assert len(memo.stabilizers) == 2**k

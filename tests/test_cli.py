@@ -1,7 +1,9 @@
 """CLI surface: exit codes, JSON schemas, catalog round trips."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ephemera
 import ephemera.classifier
@@ -24,6 +28,7 @@ from ephemera.serial import (
     format_coefficient,
     load_system_spec,
     parse_coefficient,
+    parse_point,
     polynomial_from_terms,
     polynomial_to_terms,
     validate_report_bundle,
@@ -494,6 +499,100 @@ def test_cli_rejects_malformed_spec_file(command, text, tmp_path, capsys):
     spec.write_text(text)
     assert main([command, str(spec)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "point_text",
+    [
+        pytest.param('{"r": [1, 1, 1], "theta": [0, 0, 0], "z": []}', id="extra-key"),
+        pytest.param('{"r": [1, 1, 1]}', id="missing-key"),
+        pytest.param('{}', id="no-key"),
+        pytest.param('[1, 1, 1]', id="not-an-object"),
+        pytest.param('{"r": 1, "theta": [0, 0, 0]}', id="r-not-a-list"),
+        pytest.param('{"z": {"re": 1}}', id="z-not-a-list"),
+        pytest.param('{"z": [1, 0, 0]}', id="z-entry-not-a-list"),
+        pytest.param('{"r": [1, true, 1], "theta": [0, 0, 0]}', id="boolean-radius"),
+        pytest.param('{"r": [1, 1, 1], "theta": [0, false, 0]}', id="boolean-angle"),
+        pytest.param('{"z": [[1, 0], [true, 0], [1, 0]]}', id="boolean-z"),
+        pytest.param('{"r": [1, "1", 1], "theta": [0, 0, 0]}', id="string-radius"),
+        pytest.param('{"r": [1, null, 1], "theta": [0, 0, 0]}', id="null-radius"),
+        pytest.param('{"r": [1, -0.5, 1], "theta": [0, 0, 0]}', id="negative-radius"),
+        pytest.param('{"z": [[1, 0], [1], [1, 0]]}', id="z-entry-single"),
+        pytest.param('{"z": [[1, 0], [1, 0, 0], [1, 0]]}', id="z-entry-triple"),
+        pytest.param('{"r": [1, 1, 1' + "0" * 400 + '], "theta": [0, 0, 0]}', id="radius-beyond-float"),
+    ],
+)
+def test_parse_point_rejects_malformed_shape(point_text, tmp_path, capsys):
+    # parse_point is the one check of a point's shape (the schema asks only
+    # for an object), and the CLI turns each rejection into exit 2
+    with pytest.raises(ParseError, match="^bad point"):
+        parse_point(json.loads(point_text))
+    spec = tmp_path / "bad.json"
+    spec.write_text(_family_spec_with_point(point_text))
+    assert main(["classify", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _exit_code_and_message(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+_NUMBERS = st.integers(-2, 2) | st.floats(-3.0, 3.0) | st.integers() | st.floats() | st.booleans()
+_POINT_LIKE = (
+    st.dictionaries(
+        st.sampled_from(["r", "theta", "z", "w"]),
+        st.lists(_NUMBERS | st.lists(_NUMBERS, max_size=3), min_size=2, max_size=4)
+        | _JSON_VALUES,
+        min_size=1,
+        max_size=3,
+    )
+    | st.fixed_dictionaries(
+        {"r": st.lists(_NUMBERS, min_size=3, max_size=3),
+         "theta": st.lists(_NUMBERS, min_size=3, max_size=3)}
+    )
+    | st.fixed_dictionaries(
+        {"z": st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=3, max_size=3)}
+    )
+)
+_COEFFICIENT_LIKE = st.from_regex(r"\A~?[-+]?[0-9./e]{0,5}([-+,][0-9./ei]{0,5})?i?\Z")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(entry=_JSON_VALUES | _POINT_LIKE)
+def test_fuzzed_point_entries_exit_0_or_2(entry, tmp_path_factory):
+    # any JSON value as a listed point: a report or exit 2 with a message,
+    # never a traceback
+    spec = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    spec.write_text(_family_spec_with_point(json.dumps(entry)))
+    for command in ("classify", "ephemeral-test"):
+        code, err = _exit_code_and_message([command, str(spec), "--out", str(spec) + ".out"])
+        assert code in (0, 2)
+        assert code == 0 or err.startswith("error:")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=st.text(max_size=12) | _COEFFICIENT_LIKE)
+def test_fuzzed_coefficient_strings_exit_0_or_2(text, tmp_path_factory):
+    # parse_coefficient returns a coefficient or raises ParseError, and a spec
+    # carrying the string gives a report or exit 2 with a message
+    try:
+        parse_coefficient(text)
+    except ParseError:
+        pass
+    spec = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    spec.write_text(_local_model_spec(_mirrored_product_terms(text)))
+    code, err = _exit_code_and_message(["classify", str(spec), "--out", str(spec) + ".out"])
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error:")
 
 
 def test_package_exports_resolve_once():

@@ -1,10 +1,13 @@
 """Exact lattice algebra: normal forms, defining vectors, stabilizers."""
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ephemera.classifier import stabilizer_slice
 from ephemera.errors import InvalidAction
@@ -100,6 +103,53 @@ def test_snf_stress_larger_entries():
     # rank-deficient and zero matrices
     assert_snf_contract([[0, 0], [0, 0]])
     assert_snf_contract([[2, 4], [1, 2], [3, 6]])
+
+
+def _product(a, b) -> list[list[int]]:
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+def _det_by_elimination(a) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+_INTEGER_MATRICES = st.integers(1, 4).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=m, max_size=m
+        )
+    )
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_INTEGER_MATRICES)
+def test_snf_contract_property(a):
+    # oracles independent of ephemera.lattice: u a v = d, |det u| = |det v| = 1,
+    # d diagonal with each diagonal entry dividing the next
+    u, d, v = smith_normal_form(a)
+    assert _product(_product(u, a), v) == [list(row) for row in d]
+    assert abs(_det_by_elimination(u)) == 1
+    assert abs(_det_by_elimination(v)) == 1
+    m, n = len(a), len(a[0])
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [d[i][i] for i in range(min(m, n))]
+    for x, y in zip(diag, diag[1:]):
+        assert y == 0 if x == 0 else y % x == 0
 
 
 def test_kernel_basis_annihilates():
