@@ -10,6 +10,7 @@ Real coordinates are ordered (x_1, y_1, ..., x_k, y_k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ from .jets import (
     chart_jet,
     check_invariance,
     ephemeral_zero_set_test,
-    eval_terms,
     slice_restriction,
     vanishes_below_order_mod_phi,
     wirtinger_terms,
@@ -102,7 +102,8 @@ class SystemSpec:
 
     # -- moment map ------------------------------------------------------
     # Integer weights, (-w) * y and sums started at 0.0 give the floats of a
-    # term-by-term sum, signed zeros included.
+    # term-by-term sum, signed zeros included.  Every method takes one point
+    # or a batch with leading axes, as phi does.
 
     def phi(self, z) -> np.ndarray:
         """Phi_a(z) = 1/2 sum_j w_aj |z_j|^2 for one point or a (..., k) batch."""
@@ -112,21 +113,28 @@ class SystemSpec:
         return 0.5 * np.sum(self.weight_array * sq[..., None, :], axis=-1, initial=0.0)
 
     def dphi(self, z) -> np.ndarray:
+        """D(Phi) by rows, (..., d, 2k)."""
         z = np.asarray(z, dtype=complex)
         xy = np.stack([z.real, z.imag], axis=-1)
-        return (self.weight_array[:, :, None] * xy).reshape(self.torus_dim, 2 * self.coords)
+        out = self.weight_array[:, :, None] * xy[..., None, :, :]
+        return out.reshape(z.shape[:-1] + (self.torus_dim, 2 * self.coords))
 
     def hess_phi(self, mu) -> np.ndarray:
+        """Hessian of mu . Phi, (..., 2k, 2k) for mu of shape (..., d)."""
         mu = np.asarray(mu, dtype=float)
-        diag = np.sum(mu[:, None] * self.weight_array, axis=0, initial=0.0)
-        return np.diag(np.repeat(diag, 2))
+        diag = np.sum(mu[..., :, None] * self.weight_array, axis=-2, initial=0.0)
+        out = np.zeros(diag.shape[:-1] + (2 * self.coords, 2 * self.coords))
+        idx = np.arange(2 * self.coords)
+        out[..., idx, idx] = np.repeat(diag, 2, axis=-1)
+        return out
 
     def orbit_directions(self, z) -> np.ndarray:
-        """Hamiltonian vector fields of the components of Phi, as columns."""
+        """Hamiltonian vector fields of the components of Phi, as columns (..., 2k, d)."""
         z = np.asarray(z, dtype=complex)
         w = self.weight_array
-        columns = np.stack([(-w) * z.imag, w * z.real], axis=-1)
-        return columns.reshape(self.torus_dim, 2 * self.coords).T
+        columns = np.stack([(-w) * z.imag[..., None, :], w * z.real[..., None, :]], axis=-1)
+        columns = columns.reshape(z.shape[:-1] + (self.torus_dim, 2 * self.coords))
+        return np.swapaxes(columns, -1, -2)
 
     # -- invariant function ----------------------------------------------
 
@@ -136,17 +144,17 @@ class SystemSpec:
     def _derivative_tables(self) -> tuple[list, dict]:
         """(d g/d z_j by j, (d2 g/dz_l dz_j, d2 g/dzbar_l dz_j) by (j, l >= j)).
 
-        Raw term dicts with complex coefficients, derived exactly once and
+        Compiled term lists (see _compile_terms), derived exactly once and
         converted once, in the term order of wirtinger_terms.
         """
         if self.g_derivatives is None:
             k = self.coords
             dz = [self.g.wirtinger(j) for j in range(k)]
-            first = [_complex_terms(d) for d in dz]
+            first = [_compile_terms(d) for d in dz]
             second = {
                 (j, l): (
-                    _complex_terms(wirtinger_terms(dz[j], l, conjugate=False)),
-                    _complex_terms(wirtinger_terms(dz[j], l, conjugate=True)),
+                    _compile_terms(wirtinger_terms(dz[j], l, conjugate=False)),
+                    _compile_terms(wirtinger_terms(dz[j], l, conjugate=True)),
                 )
                 for j in range(k)
                 for l in range(j, k)
@@ -155,33 +163,84 @@ class SystemSpec:
         return self.g_derivatives
 
     def grad_g(self, z) -> np.ndarray:
+        """Real gradient of g, (..., 2k); equal bit for bit to eval_terms per point."""
         z = np.asarray(z, dtype=complex)
         first, _ = self._derivative_tables()
-        out = np.zeros(2 * self.coords)
+        powers = _Powers(z.reshape(-1, self.coords))
+        out = np.zeros((len(powers.z), 2 * self.coords))
         for j, terms in enumerate(first):
-            fz = eval_terms(terms, z)
-            out[2 * j] = 2.0 * fz.real
-            out[2 * j + 1] = -2.0 * fz.imag
-        return out
+            re, im = _eval_compiled(terms, powers)
+            out[:, 2 * j] = 2.0 * re
+            out[:, 2 * j + 1] = -2.0 * im
+        return out.reshape(z.shape[:-1] + out.shape[-1:])
 
     def hess_g(self, z) -> np.ndarray:
+        """Real Hessian of g, (..., 2k, 2k); equal bit for bit to eval_terms per point."""
         z = np.asarray(z, dtype=complex)
         _, second = self._derivative_tables()
-        out = np.zeros((2 * self.coords, 2 * self.coords))
+        powers = _Powers(z.reshape(-1, self.coords))
+        out = np.zeros((len(powers.z), 2 * self.coords, 2 * self.coords))
         for (j, l), (p_terms, q_terms) in second.items():
-            p = eval_terms(p_terms, z)
-            q = eval_terms(q_terms, z)
-            out[2 * j, 2 * l] = 2.0 * (p + q).real
-            out[2 * j, 2 * l + 1] = -2.0 * (p - q).imag
-            out[2 * j + 1, 2 * l] = -2.0 * (p + q).imag
-            out[2 * j + 1, 2 * l + 1] = -2.0 * (p - q).real
+            pr, pi = _eval_compiled(p_terms, powers)
+            qr, qi = _eval_compiled(q_terms, powers)
+            out[:, 2 * j, 2 * l] = 2.0 * (pr + qr)
+            out[:, 2 * j, 2 * l + 1] = -2.0 * (pi - qi)
+            out[:, 2 * j + 1, 2 * l] = -2.0 * (pi + qi)
+            out[:, 2 * j + 1, 2 * l + 1] = -2.0 * (pr - qr)
         # symmetrize: mixed partials commute for polynomials
-        out = np.triu(out) + np.triu(out, 1).T
-        return out
+        out = np.triu(out) + np.swapaxes(np.triu(out, 1), -1, -2)
+        return out.reshape(z.shape[:-1] + out.shape[-2:])
 
 
-def _complex_terms(terms: dict) -> dict:
-    return {key: c_complex(c) for key, c in terms.items()}
+def _compile_terms(terms: dict) -> tuple:
+    """A raw term dict as ((coefficient, ((j, e, conjugate), ...)), ...),
+    with each factor z_j^e (or zbar_j^e) in the order eval_terms multiplies."""
+    return tuple(
+        (
+            c_complex(c),
+            tuple((j, e, False) for j, e in enumerate(a) if e)
+            + tuple((j, e, True) for j, e in enumerate(b) if e),
+        )
+        for (a, b), c in terms.items()
+    )
+
+
+class _Powers:
+    """Real and imaginary parts of z_j^e and zbar_j^e over the rows of an
+    (m, k) array, each computed once.  np.power takes the same integer
+    power loop as a complex scalar's ** (the array operator's fast path
+    for ** 2 squares differently)."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        self._parts: dict = {}
+
+    def __getitem__(self, key) -> tuple[np.ndarray, np.ndarray]:
+        parts = self._parts.get(key)
+        if parts is None:
+            j, e, conjugate = key
+            col = np.conj(self.z[:, j]) if conjugate else self.z[:, j]
+            value = np.power(col, e)
+            parts = self._parts[key] = (value.real, value.imag)
+        return parts
+
+
+def _eval_compiled(terms: tuple, powers: _Powers) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of eval_terms at each row, bit for bit.
+
+    Products are spelled out in unfused real arithmetic, as a complex
+    scalar multiplies; numpy's vectorised complex multiply rounds differently.
+    """
+    m = len(powers.z)
+    total_re, total_im = np.zeros(m), np.zeros(m)
+    for c, factors in terms:
+        re, im = c.real, c.imag
+        for key in factors:
+            pr, pi = powers[key]
+            re, im = re * pr - im * pi, re * pi + im * pr
+        total_re += re
+        total_im += im
+    return total_re, total_im
 
 
 def standard_complex_structure(k: int) -> np.ndarray:
@@ -205,11 +264,25 @@ def local_model_system(
     return SystemSpec(weights=rows, xi=xi, g=g, name=name)
 
 
+def _vanishing(z: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the coordinates that count as zero, for one point or a (..., k)
+    batch: |z_j| <= tol * max_i |z_i| (exact zeros always count)."""
+    size = np.abs(z)
+    return size <= tol * np.max(size, axis=-1, initial=0.0, keepdims=True)
+
+
 def support_of(z, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
     """Indices of the vanishing coordinates (exact zeros always count)."""
-    z = np.asarray(z, dtype=complex)
-    scale = float(np.max(np.abs(z))) if z.size else 0.0
-    return tuple(i for i in range(len(z)) if abs(z[i]) <= tol * scale)
+    return tuple(np.flatnonzero(_vanishing(np.asarray(z, dtype=complex), tol)).tolist())
+
+
+def _groups(keys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(key, row indices) for each distinct row of an (m,) or (m, k) array."""
+    if np.all(keys == keys[:1]):  # the common case, and every single point
+        return [(keys[0], np.arange(len(keys)))]
+    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return [(key, np.flatnonzero(inverse == g)) for g, key in enumerate(unique)]
 
 
 def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
@@ -265,40 +338,69 @@ def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
     ).without_constant()
 
 
-def _kernel_of(matrix: np.ndarray, ambient: int) -> np.ndarray:
-    """Orthonormal kernel basis (columns) of a row-listed linear map."""
-    if matrix.size == 0 or not matrix.shape[0]:
-        return np.eye(ambient)
-    u, s, vt = np.linalg.svd(matrix)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > RANK_TOL * max(smax, 1e-300)))
-    return vt[rank:].T
+def _kernel_of(matrix: np.ndarray, ambient: int):
+    """Orthonormal kernel basis (columns) of a row-listed linear map.
+
+    A stack (..., rows, ambient) gives a list of bases, one per matrix in
+    row-major order, since their widths may differ; the SVDs run as one
+    stacked call.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    stack = matrix.reshape((math.prod(matrix.shape[:-2]),) + matrix.shape[-2:])
+    if matrix.size == 0 or not matrix.shape[-2]:
+        bases = [np.eye(ambient) for _ in stack]
+    else:
+        _, s, vt = np.linalg.svd(stack)
+        rank = np.sum(s > RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
+        bases = [v[r:].T for v, r in zip(vt, rank.tolist())]
+    return bases[0] if matrix.ndim == 2 else bases
 
 
-def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0) -> bool:
+def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0):
     """Whether grad g vanishes on ker D(Phi), the orthonormal columns of kernel.
 
     The one criticality rule: |kernel^T grad| <= RANK_TOL * tolerance_scale
-    * (1 + |grad|); an empty kernel passes.
+    * (1 + |grad|); an empty kernel passes.  kernel (..., 2k, n) and grad
+    (..., 2k) may carry batch axes; a batch gives a boolean array.
     """
-    if kernel.shape[1] == 0:
-        return True
-    tol = RANK_TOL * tolerance_scale
-    return float(np.linalg.norm(kernel.T @ grad)) <= tol * (1.0 + float(np.linalg.norm(grad)))
+    kernel = np.asarray(kernel, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    if kernel.shape[-1] == 0:
+        critical = np.ones(grad.shape[:-1], dtype=bool)
+    else:
+        tol = RANK_TOL * tolerance_scale
+        along = (np.swapaxes(kernel, -1, -2) @ grad[..., None])[..., 0]
+        critical = np.linalg.norm(along, axis=-1) <= tol * (
+            1.0 + np.linalg.norm(grad, axis=-1)
+        )
+    return bool(critical) if critical.ndim == 0 else critical
 
 
 def lagrange_multiplier(dphi, grad, tolerance_scale: float = 1.0) -> np.ndarray:
     """Least-squares mu with dphi^T mu = grad, dphi listing D(Phi) by rows.
 
-    Raises NotCriticalModPhi when the residual exceeds RANK_TOL *
-    tolerance_scale * (1 + |grad|), the bound of is_critical_mod_phi.
+    The minimum-norm solution of np.linalg.lstsq with rcond=None (singular
+    values at most eps * max(2k, d) times the largest count as zero), for
+    dphi (..., d, 2k) and grad (..., 2k) with any batch axes.  Raises
+    NotCriticalModPhi when a residual exceeds RANK_TOL * tolerance_scale *
+    (1 + |grad|), the bound of is_critical_mod_phi.
     """
-    if not dphi.shape[0]:
-        return np.zeros(0)
-    mu, *_ = np.linalg.lstsq(dphi.T, grad, rcond=None)
-    residual = float(np.linalg.norm(dphi.T @ mu - grad))
-    if residual > RANK_TOL * tolerance_scale * (1.0 + float(np.linalg.norm(grad))):
-        raise NotCriticalModPhi(f"multiplier residual {residual:.2e} too large")
+    dphi = np.asarray(dphi, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    if not dphi.shape[-2]:
+        return np.zeros(grad.shape[:-1] + (0,))
+    a = np.swapaxes(dphi, -1, -2)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    along = inverse * (np.swapaxes(u, -1, -2) @ grad[..., None])[..., 0]
+    mu = (np.swapaxes(vt, -1, -2) @ along[..., None])[..., 0]
+    residual = np.linalg.norm((a @ mu[..., None])[..., 0] - grad, axis=-1)
+    bound = RANK_TOL * tolerance_scale * (1.0 + np.linalg.norm(grad, axis=-1))
+    too_large = residual > bound
+    if np.any(too_large):
+        worst = float(np.max(residual[too_large]))
+        raise NotCriticalModPhi(f"multiplier residual {worst:.2e} too large")
     return mu
 
 
@@ -308,9 +410,7 @@ class BlockData:
     eigenvalues: tuple[complex, ...]
 
 
-def slice_hessian_blocks(
-    sys: SystemSpec, z, mu, kernel: np.ndarray, stab: StabilizerData
-) -> tuple[list[BlockData], bool, dict]:
+def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
     """Block types of the linearized flow on the reduced symplectic slice.
 
     kernel holds ker D(Phi) at z as orthonormal columns and stab the
@@ -321,85 +421,133 @@ def slice_hessian_blocks(
     moment components, and reads block types off the spectrum of J times a
     fixed generic combination.  Degeneracy: a near-zero eigenvalue, or the
     restricted forms spanning less than the complex slice dimension.
+
+    Returns (blocks, degenerate, diagnostics).  For a stack of points of one
+    support (z (m, k), mu (m, d), kernel (m, 2k, n)) it returns a list of
+    these, one per point; the linear algebra runs stacked, split where the
+    orbit rank or the slice dimension sets a shape.
     """
     z = np.asarray(z, dtype=complex)
+    single = z.ndim == 1
     k = sys.coords
+    z = z.reshape(-1, k)
+    m = len(z)
+    mu = np.asarray(mu, dtype=float).reshape(m, sys.torus_dim)
+    kernel = np.asarray(kernel, dtype=float)
+    kernel = kernel.reshape((m,) + kernel.shape[-2:])
     orbit = sys.orbit_directions(z)
-    if orbit.size:
+    if orbit.shape[-1]:
         q, s, _ = np.linalg.svd(orbit, full_matrices=False)
-        orbit_on = q[:, s > RANK_TOL * max(s[0] if len(s) else 0.0, 1e-300)]
+        orbit_rank = np.sum(s > RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
     else:
-        orbit_on = np.zeros((2 * k, 0))
-    reduced = kernel - orbit_on @ (orbit_on.T @ kernel)
-    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
-    slice_basis = u[:, s > 0.5]  # kernel columns keep unit length off the orbit
-    dim = slice_basis.shape[1]
-    jmat = sys.complex_structure
-    diagnostics: dict = {"slice_dim": dim}
-    if dim == 0:
-        return [], False, diagnostics
+        q, orbit_rank = orbit, np.zeros(m, dtype=int)
+    results: list = [None] * m
+    for r, rows in _groups(orbit_rank):
+        orbit_on = q[rows, :, :r]
+        reduced = kernel[rows] - orbit_on @ (np.swapaxes(orbit_on, -1, -2) @ kernel[rows])
+        u, s, _ = np.linalg.svd(reduced, full_matrices=False)
+        # kernel columns keep unit length off the orbit
+        for dim, sub in _groups(np.sum(s > 0.5, axis=1)):
+            at = rows[sub]
+            if dim == 0:
+                for i in at:
+                    results[i] = ([], False, {"slice_dim": 0})
+                continue
+            spectra = _slice_spectra(sys, z[at], mu[at], orbit_on[sub], u[sub, :, :dim], stab)
+            for i, entry in zip(at, spectra):
+                results[i] = entry
+    return results[0] if single else results
+
+
+def _slice_spectra(sys, z, mu, orbit_on, slice_basis, stab) -> list:
+    """slice_hessian_blocks for a stack sharing the orbit rank and the slice
+    dimension: slice_basis (m, 2k, dim), orbit_on (m, 2k, r)."""
+    dim = slice_basis.shape[-1]
     assert dim % 2 == 0, "slice of a symplectic complement must be even-dimensional"
     s_cplx = dim // 2
+    jmat = sys.complex_structure
+    basis_t = np.swapaxes(slice_basis, -1, -2)
     # J-invariance and symplectic orthogonality cross-checks
-    j_s = slice_basis.T @ jmat @ slice_basis
-    leak = np.linalg.norm(jmat @ slice_basis - slice_basis @ j_s)
-    diagnostics["j_invariance_defect"] = float(leak)
-    if orbit_on.shape[1]:
-        diagnostics["symplectic_orthogonality_defect"] = float(
-            np.linalg.norm(orbit_on.T @ jmat @ slice_basis)
+    j_s = basis_t @ jmat @ slice_basis
+    leak = np.linalg.norm(jmat @ slice_basis - slice_basis @ j_s, axis=(-2, -1))
+    orthogonality = None
+    if orbit_on.shape[-1]:
+        orthogonality = np.linalg.norm(
+            np.swapaxes(orbit_on, -1, -2) @ jmat @ slice_basis, axis=(-2, -1)
         )
     hess_gt = sys.hess_g(z) - sys.hess_phi(mu)
-    forms = [slice_basis.T @ hess_gt @ slice_basis]
-    for zeta in stab.lie_basis:
-        forms.append(slice_basis.T @ sys.hess_phi(zeta) @ slice_basis)
-    # span rank of the restricted quadratic forms
-    vecs = np.array([f[np.triu_indices(dim)] for f in forms])
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    span_rank = int(np.sum(sv > EIG_TOL * max(sv[0] if len(sv) else 0.0, 1e-300)))
-    diagnostics["form_span_rank"] = span_rank
-    combo = np.zeros((dim, dim))
-    for i, f in enumerate(forms):
-        norm = np.linalg.norm(f)
-        if norm > 1e-300:
-            combo += _GENERIC_COEFFS[i % len(_GENERIC_COEFFS)] * f / norm
-    eigs = np.linalg.eigvals(j_s @ combo)
-    diagnostics["eigenvalues"] = tuple(map(complex, eigs))
-    diagnostics["g_only_eigenvalues"] = tuple(
-        map(complex, np.linalg.eigvals(j_s @ forms[0]))
+    lie = sys.hess_phi(
+        np.array(stab.lie_basis, dtype=float).reshape(len(stab.lie_basis), sys.torus_dim)
     )
+    forms = np.concatenate(
+        [(basis_t @ hess_gt @ slice_basis)[:, None],
+         basis_t[:, None] @ lie @ slice_basis[:, None]],
+        axis=1,
+    )
+    # span rank of the restricted quadratic forms
+    upper = np.triu_indices(dim)
+    sv = np.linalg.svd(forms[:, :, upper[0], upper[1]], compute_uv=False)
+    span_rank = np.sum(sv > EIG_TOL * np.maximum(sv[:, :1], 1e-300), axis=1)
+    norms = np.linalg.norm(forms, axis=(-2, -1))
+    combo = np.zeros(slice_basis.shape[:1] + (dim, dim))
+    for i in range(forms.shape[1]):
+        kept = norms[:, i] > 1e-300
+        scaled = _GENERIC_COEFFS[i % len(_GENERIC_COEFFS)] * forms[:, i]
+        scaled /= np.where(kept, norms[:, i], 1.0)[:, None, None]
+        combo += np.where(kept[:, None, None], scaled, 0.0)
+    eigs = np.linalg.eigvals(j_s @ combo)
+    g_eigs = np.linalg.eigvals(j_s @ forms[:, 0])
+    out = []
+    for p in range(len(z)):
+        diagnostics: dict = {"slice_dim": dim, "j_invariance_defect": float(leak[p])}
+        if orthogonality is not None:
+            diagnostics["symplectic_orthogonality_defect"] = float(orthogonality[p])
+        diagnostics["form_span_rank"] = int(span_rank[p])
+        diagnostics["eigenvalues"] = tuple(map(complex, eigs[p]))
+        diagnostics["g_only_eigenvalues"] = tuple(map(complex, g_eigs[p]))
+        blocks, degenerate = _pair_blocks(eigs[p], span_rank[p] < s_cplx)
+        out.append((blocks, degenerate, diagnostics))
+    return out
+
+
+def _pair_blocks(eigs: np.ndarray, degenerate: bool) -> tuple[list[BlockData], bool]:
+    """Group a Hamiltonian spectrum into blocks, largest modulus first.
+
+    The pairing runs on Python scalars: the same IEEE operations as numpy
+    scalars (abs is hypot in both), without their per-operation overhead.
+    """
     scale = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    degenerate = span_rank < s_cplx or scale == 0.0
+    degenerate = bool(degenerate) or scale == 0.0
+    values = [complex(x) for x in eigs.tolist()]
     blocks: list[BlockData] = []
-    used = np.zeros(len(eigs), dtype=bool)
-    order = np.argsort(-np.abs(eigs))
-    for idx in order:
+    used = [False] * len(values)
+    for idx in np.argsort(-np.abs(eigs)).tolist():
         if used[idx]:
             continue
-        lam = eigs[idx]
+        lam = values[idx]
         used[idx] = True
         if abs(lam) <= EIG_TOL * scale:
             degenerate = True
-            blocks.append(BlockData("degenerate", (complex(lam),)))
+            blocks.append(BlockData("degenerate", (lam,)))
             continue
         partners = [idx]
-        for target in (-lam, np.conj(lam), -np.conj(lam)):
-            cand = None
-            for i2 in range(len(eigs)):
-                if used[i2]:
-                    continue
-                if abs(eigs[i2] - target) <= 1e-6 * scale and (cand is None):
-                    cand = i2
+        for target in (-lam, lam.conjugate(), -lam.conjugate()):
+            cand = next(
+                (i2 for i2, v in enumerate(values)
+                 if not used[i2] and abs(v - target) <= 1e-6 * scale),
+                None,
+            )
             if cand is not None:
                 used[cand] = True
                 partners.append(cand)
-        group = tuple(complex(eigs[i2]) for i2 in partners)
+        group = tuple(values[i2] for i2 in partners)
         if abs(lam.real) <= EIG_TOL * abs(lam):
             blocks.append(BlockData("elliptic", group))
         elif abs(lam.imag) <= EIG_TOL * abs(lam):
             blocks.append(BlockData("hyperbolic", group))
         else:
             blocks.append(BlockData("focus-focus", group))
-    return blocks, degenerate, diagnostics
+    return blocks, degenerate
 
 
 @dataclass
@@ -417,33 +565,69 @@ class SingularityReport:
 
 
 def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> SingularityReport:
-    """Full classification pipeline for one point of the system.
+    """Full classification pipeline for one point: classify_points on [point]."""
+    return classify_points(sys, [point], tolerance_scale)[0]
 
-    tolerance_scale multiplies the criticality and multiplier thresholds.
+
+def classify_points(
+    sys: SystemSpec, points, tolerance_scale: float = 1.0
+) -> list[SingularityReport]:
+    """Classify each point of an (m, k) array (or a list of points), in order.
+
+    Points are grouped by support.  Each group derives its stabilizer once
+    and runs D(Phi), its kernel, grad g, the criticality rule, the
+    multipliers and the slice eigenproblem as stacked calls, split where the
+    kernel width sets a shape; the eigenvalue pairing and the exact jet
+    path run per point.  tolerance_scale multiplies the criticality and
+    multiplier thresholds.
     """
-    z = np.asarray(point, dtype=complex)
-    support = support_of(z)
-    stab = stabilizer_slice(sys, support)
+    k = sys.coords
+    z_all = np.asarray(points, dtype=complex)
+    if z_all.size == 0:
+        return []
+    if z_all.ndim != 2 or z_all.shape[1] != k:
+        raise ValueError(f"expected points of {k} coordinates, got shape {z_all.shape}")
+    reports: list = [None] * len(z_all)
+    for mask, rows in _groups(_vanishing(z_all, SUPPORT_TOL)):
+        support = tuple(np.flatnonzero(mask).tolist())
+        stab = stabilizer_slice(sys, support)
+        z = z_all[rows]
+        dphi = sys.dphi(z)
+        kernels = _kernel_of(dphi, 2 * k)
+        grad = sys.grad_g(z)
+        for width, sub in _groups(np.array([b.shape[1] for b in kernels])):
+            kernel = np.stack([kernels[i] for i in sub])
+            critical = is_critical_mod_phi(kernel, grad[sub], tolerance_scale)
+            crit = sub[critical]
+            critical_data = {}
+            if len(crit):
+                mu = lagrange_multiplier(dphi[crit], grad[crit], tolerance_scale)
+                blocks = slice_hessian_blocks(sys, z[crit], mu, kernel[critical], stab)
+                critical_data = {i: (m, *b) for i, m, b in zip(crit.tolist(), mu, blocks)}
+            dphi_full = width == 2 * k - sys.torus_dim
+            for i in sub.tolist():
+                reports[rows[i]] = _report(
+                    sys, z[i], support, stab, dphi_full, critical_data.get(i)
+                )
+    return reports
+
+
+def _report(sys, z, support, stab, dphi_full, critical_data) -> SingularityReport:
+    """One point's label from its batched data; critical_data is (mu, blocks,
+    degenerate, block diagnostics), or None when g is not critical mod Phi."""
     xi_r = stab.xi_restricted
     tall = xi_r.tall
     n_support = xi_r.degree_N
     diagnostics: dict = {"support_degree": n_support}
-    dphi = sys.dphi(z)
-    kernel = _kernel_of(dphi, 2 * sys.coords)
-    grad = sys.grad_g(z)
-    critical = is_critical_mod_phi(kernel, grad, tolerance_scale)
     mu = None
     blocks: list[BlockData] = []
-
-    if not critical:
+    if critical_data is None:
         # g is not critical modulo Phi, so dF = (D(Phi), dg) has full rank
         # exactly when D(Phi) does; thresholding the stacked singular values
         # against the largest one instead lets a large |dg| hide a rank drop
-        dphi_full = kernel.shape[1] == 2 * sys.coords - sys.torus_dim
         label = "regular" if dphi_full else "regular-mod-phi-elliptic"
     else:
-        mu = lagrange_multiplier(dphi, grad, tolerance_scale)
-        blocks, degenerate, block_diag = slice_hessian_blocks(sys, z, mu, kernel, stab)
+        mu, blocks, degenerate, block_diag = critical_data
         diagnostics.update(block_diag)
         kinds = {b.kind for b in blocks}
         if not tall:
@@ -488,11 +672,11 @@ def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> Sing
 
     return SingularityReport(
         point=tuple(map(complex, z)),
-        support=tuple(support),
+        support=support,
         stabilizer=stab,
         tall=tall,
         degree_N=max(n_support, 1),
-        critical_mod_phi=critical,
+        critical_mod_phi=critical_data is not None,
         multiplier=None if mu is None else tuple(map(float, mu)),
         blocks=blocks,
         label=label,

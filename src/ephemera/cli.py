@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .classifier import SystemSpec, classify_point, fiber_verdicts, slice_data
+from .classifier import SystemSpec, classify_points, fiber_verdicts, slice_data
 from .errors import EphemeraError, ParseError, UnknownName
 from .family import FamilySystem, PolarPoint
 from .fiberlab import MIN_RESOLUTION, connectivity_report
@@ -109,10 +109,9 @@ def cmd_classify(args) -> int:
     system, listed, _, digest, label = _load(args.spec)
     points = _points_for(system, listed, args)
     spec = _system_of(system)
-    reports = [
-        classify_point(spec, w.to_complex(), tolerance_scale=args.tolerance_scale)
-        for w in points
-    ]
+    reports = classify_points(
+        spec, [w.to_complex() for w in points], tolerance_scale=args.tolerance_scale
+    )
     bundle = _bundle(args, digest, label, started)
     bundle["reports"] = [report_to_json(r) for r in reports]
     bundle["fiber_verdict"] = None

@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -43,12 +44,26 @@ def format_coefficient(c) -> str:
     return f"~{z.real!r},{z.imag!r}"
 
 
+# Fraction builds a decimal exponent's power of ten exactly, so an
+# exponent of seven digits already takes seconds; no coefficient needs this
+MAX_DECIMAL_EXPONENT = 1000
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond MAX_DECIMAL_EXPONENT."""
+    exponent = _DECIMAL_EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
+
+
 def _parse_imaginary_body(body: str) -> Fraction:
     if body in ("", "+"):
         return Fraction(1)
     if body == "-":
         return Fraction(-1)
-    return Fraction(body)
+    return _fraction(body)
 
 
 def parse_coefficient(text: str):
@@ -59,16 +74,18 @@ def parse_coefficient(text: str):
             re_s, im_s = text[1:].split(",")
             return complex(float(re_s), float(im_s))
         if not text.endswith("i"):
-            return RationalComplex(Fraction(text), Fraction(0))
+            return RationalComplex(_fraction(text), Fraction(0))
         body = text[:-1]
-        # an interior sign separates the real part from the imaginary one
+        # an interior sign separates the real part from the imaginary one;
+        # a sign after e or E belongs to an exponent
         split = max(
-            (p for p in range(1, len(body)) if body[p] in "+-"), default=None
+            (p for p in range(1, len(body)) if body[p] in "+-" and body[p - 1] not in "eE"),
+            default=None,
         )
         if split is None:
             return RationalComplex(Fraction(0), _parse_imaginary_body(body))
         return RationalComplex(
-            Fraction(body[:split]), _parse_imaginary_body(body[split:])
+            _fraction(body[:split]), _parse_imaginary_body(body[split:])
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient string {text!r}") from exc

@@ -607,3 +607,168 @@ def test_memoised_stabilizer_slice_matches_a_fresh_spec():
             assert got == stabilizer_slice(fresh, support), (sys.name, support)
             assert stabilizer_slice(memo, support) is got
         assert len(memo.stabilizers) == 2**k
+
+
+def test_batched_derivatives_match_per_call_oracle_bit_for_bit():
+    # every row of one (m, k) call equals the per-point oracle bit for bit,
+    # signed zeros on the support included, so batching changes no float
+    rng = np.random.default_rng(36)
+    for sys in _derivative_systems():
+        k = sys.coords
+        supports = [
+            s for m in range(k + 1) for s in itertools.combinations(range(k), m)
+        ] * 3
+        z = rng.uniform(0.5, 2.0, size=(len(supports), k)) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, size=(len(supports), k))
+        )
+        for i, support in enumerate(supports):
+            z[i, list(support)] = complex(-0.0, -0.0) if i % 2 else 0.0
+        grad, hess = sys.grad_g(z), sys.hess_g(z)
+        assert grad.shape == (len(z), 2 * k) and hess.shape == (len(z), 2 * k, 2 * k)
+        for row, grad_row, hess_row in zip(z, grad, hess):
+            want_grad, want_hess = _derivatives_oracle(sys, row)
+            assert grad_row.tobytes() == want_grad.tobytes(), (sys.name, row)
+            assert hess_row.tobytes() == want_hess.tobytes(), (sys.name, row)
+        # more than one leading axis
+        assert sys.grad_g(z[:4].reshape(2, 2, k)).tobytes() == grad[:4].tobytes()
+        assert sys.hess_g(z[:4].reshape(2, 2, k)).tobytes() == hess[:4].tobytes()
+
+
+def _points_of_every_support(sys: SystemSpec, rng, per_support: int = 3) -> list:
+    """Random points with exact zeros on each support, and per support one
+    point whose zeros are 1e-12 of its scale (inside SUPPORT_TOL) and one
+    with a coordinate at 1e-9 of it (outside, but below D(Phi)'s rank
+    threshold, so the kernel widens within its support group)."""
+    k = sys.coords
+    points = []
+    for m in range(k + 1):
+        for support in itertools.combinations(range(k), m):
+            for tiny in (0.0,) * per_support + (1e-12, 1e-9):
+                z = rng.uniform(0.5, 2.0, size=k) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k))
+                z[list(support)] *= tiny
+                points.append(z)
+    return points
+
+
+def _batch_cases() -> list[tuple[SystemSpec, list]]:
+    """The catalog systems with their listed points, the local models, and
+    seeded generated families with closed-form critical points, each with
+    points of every support pattern, shuffled."""
+    rng = np.random.default_rng(37)
+    cases = []
+    for name in CATALOG_NAMES:
+        raw = resources.files("ephemera").joinpath("data", f"{name}.json").read_bytes()
+        system, listed = load_spec_bytes(raw, name)[:2]
+        sys = getattr(system, "system", system)
+        cases.append((sys, [w.to_complex() for w in listed]))
+    for xi in ((1, 1), (2, 1), (3, 1, 2), (4,)):
+        cases.append((local_model_system(xi), [np.zeros(len(xi), complex)]))
+    families = [FAMILY_11M1, FAMILY_21M1] + [
+        build_family(w) for w in generated_weight_matrices(10, seed=38)
+    ]
+    for fam in families:
+        critical = []
+        for _ in range(4):
+            try:
+                critical.append(support_pattern_point(fam, (), rng, critical=True).to_complex())
+            except ValueError:  # exponents of one sign: no critical open point
+                break
+        cases.append((fam.system, critical))
+    out = []
+    for sys, extra in cases:
+        points = _points_of_every_support(sys, rng) + extra
+        out.append((sys, [points[i] for i in rng.permutation(len(points))]))
+    return out
+
+
+def _assert_close(a, b, what) -> None:
+    """Equal within 1e-12 of the largest modulus of either list."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    assert a.shape == b.shape, what
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    assert np.all(np.abs(a - b) <= 1e-12 * scale), what
+
+
+def _assert_same_report(batched, single) -> None:
+    for key in ("point", "label", "support", "stabilizer", "tall", "degree_N", "critical_mod_phi"):
+        assert getattr(batched, key) == getattr(single, key), key
+    assert [b.kind for b in batched.blocks] == [b.kind for b in single.blocks]
+    for got, want in zip(batched.blocks, single.blocks):
+        # a block lists lambda, -lambda, ...; which of two moduli equal to
+        # rounding comes first is not part of the result
+        remaining = list(want.eigenvalues)
+        for lam in got.eigenvalues:
+            near = min(remaining, key=lambda mu: abs(mu - lam))
+            _assert_close([lam], [near], "block eigenvalues")
+            remaining.remove(near)
+    if single.multiplier is None:
+        assert batched.multiplier is None
+    else:
+        _assert_close(batched.multiplier, single.multiplier, "multiplier")
+    d_batched, d_single = batched.diagnostics, single.diagnostics
+    assert list(d_batched) == list(d_single)
+    for key, want in d_single.items():
+        if key in ("eigenvalues", "g_only_eigenvalues"):
+            _assert_close(d_batched[key], want, key)
+        elif key.endswith("_defect"):
+            assert d_batched[key] <= 1e-12 and want <= 1e-12, key
+        else:  # slice_dim, form_span_rank, chart_jet and the exact flags
+            assert d_batched[key] == want, key
+
+
+def test_classify_points_matches_classify_point():
+    # one batch per system (shuffled supports, critical points, tolerance
+    # zeros and a widened kernel mixed in) against one call per point.  The
+    # chart jet of a support with a huge defining degree overflows a float
+    # (jets.ChartFunction.chart_scale); a batch holding such a point raises
+    # the same error, and the test compares the rest
+    seen = Counter()
+    for sys, points in _batch_cases():
+        singles, failing = {}, []
+        for i, z in enumerate(points):
+            try:
+                singles[i] = classify_point(sys, z)
+            except OverflowError:
+                failing.append(z)
+        if failing:
+            seen["overflow"] += len(failing)
+            with pytest.raises(OverflowError):
+                ephemera.classifier.classify_points(sys, np.array(failing + points[:3]))
+        kept = [points[i] for i in singles]
+        batched = ephemera.classifier.classify_points(sys, np.array(kept))
+        assert len(batched) == len(kept)
+        for single, report in zip(singles.values(), batched):
+            _assert_same_report(report, single)
+            seen[report.label] += 1
+            seen["critical"] += report.critical_mod_phi
+    assert seen["critical"] > 50
+    assert {"regular", "regular-mod-phi-elliptic", "purely-elliptic"} <= set(seen)
+    assert any(label in seen for label in ephemera.classifier.EPHEMERAL_LABELS)
+    assert ephemera.classifier.classify_points(FAMILY_11M1.system, []) == []
+
+
+def test_classify_points_derives_once_per_support_group(monkeypatch):
+    # 50 points over 5 supports: the stabilizer, D(Phi), its kernels and
+    # grad g are derived once per support group, not once per point
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (SystemSpec, "dphi"),
+        (SystemSpec, "grad_g"),
+        (ephemera.classifier, "_kernel_of"),
+        (ephemera.classifier, "stabilizer_slice"),
+    ):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    rng = np.random.default_rng(39)
+    supports = ((), (0,), (1,), (0, 1), (2,)) * 10
+    points = [support_pattern_point(FAMILY_21M1, s, rng).to_complex() for s in supports]
+    reports = ephemera.classifier.classify_points(FAMILY_21M1.system, points)
+    assert [r.support for r in reports] == list(supports)
+    assert counts == {"dphi": 5, "grad_g": 5, "_kernel_of": 5, "stabilizer_slice": 5}

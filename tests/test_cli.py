@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -593,6 +594,39 @@ def test_fuzzed_coefficient_strings_exit_0_or_2(text, tmp_path_factory):
     code, err = _exit_code_and_message(["classify", str(spec), "--out", str(spec) + ".out"])
     assert code in (0, 2)
     assert code == 0 or err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1e10000000", "-1e-1000000", "1+1e1000000i"])
+def test_huge_decimal_exponent_exits_2_at_once(text, tmp_path):
+    # Fraction would build the exact power of ten (seconds at seven digits);
+    # the exponent bound refuses it before that
+    spec = tmp_path / "spec.json"
+    spec.write_text(_local_model_spec(_mirrored_product_terms(text)))
+    _exit_code_and_message(["classify", "family_11m1", "--out", str(tmp_path / "warm.json")])
+    started = time.perf_counter()
+    code, err = _exit_code_and_message(["classify", str(spec), "--out", str(spec) + ".out"])
+    elapsed = time.perf_counter() - started
+    assert code == 2 and err.startswith("error:") and "coefficient" in err
+    assert elapsed < 0.1, elapsed
+
+
+def test_signs_inside_exponents_parse(tmp_path):
+    # a sign after e belongs to the exponent, not to the imaginary part
+    assert parse_coefficient("2e-3i") == parse_coefficient("1/500i")
+    assert parse_coefficient("1+2e-3i") == parse_coefficient("1+1/500i")
+    assert parse_coefficient("1-2E-3i") == parse_coefficient("1-1/500i")
+    assert parse_coefficient("-2e+3") == parse_coefficient("-2000")
+    bundles = []
+    for plus, minus in (("1+2e-3i", "1-2e-3i"), ("1+1/500i", "1-1/500i")):
+        spec = tmp_path / f"{len(bundles)}.json"
+        spec.write_text(_local_model_spec([
+            {"a": [1, 1], "b": [0, 0], "c": plus},
+            {"a": [0, 0], "b": [1, 1], "c": minus},
+        ]))
+        out = tmp_path / f"{len(bundles)}.out.json"
+        assert main(["classify", str(spec), "--out", str(out)]) == 0
+        bundles.append(json.loads(out.read_text())["reports"])
+    assert bundles[0] == bundles[1]
 
 
 def test_package_exports_resolve_once():

@@ -14,6 +14,7 @@ from ephemera.family import PolarPoint, build_family, eval_polar
 from ephemera.fiberlab import (
     MIN_RESOLUTION,
     SyntheticChart,
+    _verdict_for_chart,
     connectivity_report,
     critical_scan,
     level_components,
@@ -171,6 +172,20 @@ def test_family_chart_has_one_exact_interior_maximum(charts):
             chart, Fraction(above)
         )
         assert critical_scan(chart).index_counts() == (1, 0, 1)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_proper_family_charts())
+def test_generated_family_fiber_scan_is_consistent(charts):
+    # g is the imaginary part of the defining monomial, so every chart has
+    # one maximum and one minimum and no saddle: the scan's two sides must
+    # agree, and every sampled level be connected
+    for chart in charts:
+        verdict = _verdict_for_chart(chart, 21, 512)
+        assert verdict.status == "ok"
+        assert verdict.consistent, chart.beta
+        assert verdict.morse.index_counts()[1] == 0, chart.beta
+        assert verdict.all_levels_connected, (chart.beta, verdict.levels)
 
 
 @pytest.mark.parametrize("dip", [0.0, 0.2, 0.5, 0.7, 0.9])
