@@ -128,14 +128,6 @@ class SystemSpec:
         out[..., idx, idx] = np.repeat(diag, 2, axis=-1)
         return out
 
-    def orbit_directions(self, z) -> np.ndarray:
-        """Hamiltonian vector fields of the components of Phi, as columns (..., 2k, d)."""
-        z = np.asarray(z, dtype=complex)
-        w = self.weight_array
-        columns = np.stack([(-w) * z.imag[..., None, :], w * z.real[..., None, :]], axis=-1)
-        columns = columns.reshape(z.shape[:-1] + (self.torus_dim, 2 * self.coords))
-        return np.swapaxes(columns, -1, -2)
-
     # -- invariant function ----------------------------------------------
 
     def g_value(self, z) -> float:
@@ -338,6 +330,17 @@ def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
     ).without_constant()
 
 
+def ephemerality(sys: SystemSpec, point, support) -> tuple:
+    """(slice data, chart jet, ephemeral) at a point of tall support with
+    degree N >= 2; the jet is None, and the point not ephemeral, when the
+    slice data do not vanish below degree N modulo Phi."""
+    p_slice = slice_data(sys, point, support)
+    if not vanishes_below_order_mod_phi(p_slice, p_slice.xi.degree_N):
+        return p_slice, None, False
+    jet = chart_jet(p_slice)
+    return p_slice, jet, ephemeral_zero_set_test(jet)
+
+
 def _kernel_of(matrix: np.ndarray, ambient: int):
     """Orthonormal kernel basis (columns) of a row-listed linear map.
 
@@ -410,22 +413,31 @@ class BlockData:
     eigenvalues: tuple[complex, ...]
 
 
+def _symplectic_slice(jmat: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, dim): the first dim columns of u span ker ∩ J ker for kernels
+    (..., 2k, n).  The orbit J ker^perp lies in ker, so this is its
+    complement there; ker projects onto J ker with singular values 1 on it
+    and 0 on the orbit."""
+    jk = jmat @ kernel
+    u, s, _ = np.linalg.svd(jk @ (np.swapaxes(jk, -1, -2) @ kernel), full_matrices=False)
+    return u, np.sum(s > 0.5, axis=-1)
+
+
 def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
     """Block types of the linearized flow on the reduced symplectic slice.
 
     kernel holds ker D(Phi) at z as orthonormal columns and stab the
     stabilizer data of z's support; the point must be critical modulo Phi
-    with multiplier mu.  Builds the orthogonal complement of the orbit
-    directions inside the kernel (a J-invariant symplectic subspace),
+    with multiplier mu.  Builds the slice ker D(Phi) ∩ J ker D(Phi),
     restricts the Hessian of g~ = g - Phi^mu and the stabilizer's quadratic
     moment components, and reads block types off the spectrum of J times a
     fixed generic combination.  Degeneracy: a near-zero eigenvalue, or the
     restricted forms spanning less than the complex slice dimension.
 
     Returns (blocks, degenerate, diagnostics).  For a stack of points of one
-    support (z (m, k), mu (m, d), kernel (m, 2k, n)) it returns a list of
-    these, one per point; the linear algebra runs stacked, split where the
-    orbit rank or the slice dimension sets a shape.
+    support and kernel width (z (m, k), mu (m, d), kernel (m, 2k, n)) it
+    returns a list of these, one per point; the linear algebra runs stacked,
+    split where the slice dimension sets a shape.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
@@ -435,45 +447,33 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
     mu = np.asarray(mu, dtype=float).reshape(m, sys.torus_dim)
     kernel = np.asarray(kernel, dtype=float)
     kernel = kernel.reshape((m,) + kernel.shape[-2:])
-    orbit = sys.orbit_directions(z)
-    if orbit.shape[-1]:
-        q, s, _ = np.linalg.svd(orbit, full_matrices=False)
-        orbit_rank = np.sum(s > RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
-    else:
-        q, orbit_rank = orbit, np.zeros(m, dtype=int)
+    u, dims = _symplectic_slice(sys.complex_structure, kernel)
     results: list = [None] * m
-    for r, rows in _groups(orbit_rank):
-        orbit_on = q[rows, :, :r]
-        reduced = kernel[rows] - orbit_on @ (np.swapaxes(orbit_on, -1, -2) @ kernel[rows])
-        u, s, _ = np.linalg.svd(reduced, full_matrices=False)
-        # kernel columns keep unit length off the orbit
-        for dim, sub in _groups(np.sum(s > 0.5, axis=1)):
-            at = rows[sub]
-            if dim == 0:
-                for i in at:
-                    results[i] = ([], False, {"slice_dim": 0})
-                continue
-            spectra = _slice_spectra(sys, z[at], mu[at], orbit_on[sub], u[sub, :, :dim], stab)
-            for i, entry in zip(at, spectra):
-                results[i] = entry
+    for dim, at in _groups(dims):
+        if dim:
+            spectra = _slice_spectra(sys, z[at], mu[at], kernel[at], u[at, :, :dim], stab)
+        else:
+            spectra = [([], False, {"slice_dim": 0}) for _ in at]
+        for i, entry in zip(at, spectra):
+            results[i] = entry
     return results[0] if single else results
 
 
-def _slice_spectra(sys, z, mu, orbit_on, slice_basis, stab) -> list:
-    """slice_hessian_blocks for a stack sharing the orbit rank and the slice
-    dimension: slice_basis (m, 2k, dim), orbit_on (m, 2k, r)."""
+def _slice_spectra(sys, z, mu, kernel, slice_basis, stab) -> list:
+    """slice_hessian_blocks for a stack sharing the slice dimension:
+    kernel (m, 2k, n), slice_basis (m, 2k, dim)."""
     dim = slice_basis.shape[-1]
     assert dim % 2 == 0, "slice of a symplectic complement must be even-dimensional"
     s_cplx = dim // 2
     jmat = sys.complex_structure
     basis_t = np.swapaxes(slice_basis, -1, -2)
-    # J-invariance and symplectic orthogonality cross-checks
+    # J-invariance and symplectic orthogonality (S stays in ker) cross-checks
     j_s = basis_t @ jmat @ slice_basis
     leak = np.linalg.norm(jmat @ slice_basis - slice_basis @ j_s, axis=(-2, -1))
     orthogonality = None
-    if orbit_on.shape[-1]:
+    if kernel.shape[-1] < 2 * sys.coords:
         orthogonality = np.linalg.norm(
-            np.swapaxes(orbit_on, -1, -2) @ jmat @ slice_basis, axis=(-2, -1)
+            slice_basis - kernel @ (np.swapaxes(kernel, -1, -2) @ slice_basis), axis=(-2, -1)
         )
     hess_gt = sys.hess_g(z) - sys.hess_phi(mu)
     lie = sys.hess_phi(
@@ -633,14 +633,10 @@ def _report(sys, z, support, stab, dphi_full, critical_data) -> SingularityRepor
         if not tall:
             label = "unclassified-degenerate" if degenerate else "short-elliptic"
         elif n_support >= 2:
-            p_slice = slice_data(sys, z, support)
-            vanishes = vanishes_below_order_mod_phi(p_slice, n_support)
-            ephemeral = False
-            if vanishes:
-                jet = chart_jet(p_slice)
-                ephemeral = ephemeral_zero_set_test(jet)
+            p_slice, jet, ephemeral = ephemerality(sys, z, support)
+            if jet is not None:
                 diagnostics["chart_jet"] = (jet.A, jet.B, jet.D)
-            diagnostics["vanishes_below_degree"] = vanishes
+            diagnostics["vanishes_below_degree"] = jet is not None
             if n_support > 2:
                 # exact witness: all slice terms have degree >= n_support > 2
                 diagnostics["degree2_taylor_vanishes"] = all(

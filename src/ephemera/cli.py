@@ -21,11 +21,10 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .classifier import SystemSpec, classify_points, fiber_verdicts, slice_data
+from .classifier import SystemSpec, classify_points, ephemerality, fiber_verdicts
 from .errors import EphemeraError, ParseError, UnknownName
 from .family import FamilySystem, PolarPoint
 from .fiberlab import MIN_RESOLUTION, connectivity_report
-from .jets import chart_jet, ephemeral_zero_set_test, vanishes_below_order_mod_phi
 from .serial import (
     connectivity_csv_rows,
     connectivity_to_json,
@@ -145,16 +144,14 @@ def cmd_ephemeral_test(args) -> int:
             entry["ephemeral"] = False
             entry["reason"] = "support degree below 2"
         else:
-            data = slice_data(spec, w.to_complex(), w.support)
-            vanishes = vanishes_below_order_mod_phi(data, degree)
-            entry["vanishes_below_degree"] = vanishes
-            if vanishes:
-                jet = chart_jet(data)
-                entry["jet"] = {"A": jet.A, "B": jet.B, "D": jet.D, "degree": degree}
-                entry["ephemeral"] = ephemeral_zero_set_test(jet)
-                entry["marginal"] = jet.is_marginal()
-            else:
+            _, jet, ephemeral = ephemerality(spec, w.to_complex(), w.support)
+            entry["vanishes_below_degree"] = jet is not None
+            if jet is None:
                 entry["ephemeral"] = False
+            else:
+                entry["jet"] = {"A": jet.A, "B": jet.B, "D": jet.D, "degree": degree}
+                entry["ephemeral"] = ephemeral
+                entry["marginal"] = jet.is_marginal()
         results.append(entry)
     bundle = _bundle(args, digest, label, started)
     bundle["ephemeral_tests"] = results

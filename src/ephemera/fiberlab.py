@@ -191,7 +191,7 @@ def level_components(chart, levels, resolution: int = 256) -> list[int]:
     n = max(int(resolution), MIN_RESOLUTION)
     ts = np.linspace(0.0, 1.0, n + 1)
     psis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    values = chart.radius_profile(ts)[:, None] * np.sin(psis)[None, :]
+    values = chart.gbar(ts[:, None], psis[None, :])
     rolled = np.roll(values, -1, axis=1)
     lo = np.minimum(values[:-1], rolled[:-1])
     np.minimum(lo, values[1:], out=lo)

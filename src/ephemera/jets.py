@@ -142,12 +142,6 @@ class InvariantPolynomial:
         return cls.hermitian({(a, b): RationalComplex.of(0, Fraction(-1, 2))}, xi)
 
     @classmethod
-    def real_defining_monomial(cls, xi: DefiningVector) -> "InvariantPolynomial":
-        a = tuple(max(e, 0) for e in xi.xi)
-        b = tuple(max(-e, 0) for e in xi.xi)
-        return cls.hermitian({(a, b): RationalComplex.of(Fraction(1, 2), 0)}, xi)
-
-    @classmethod
     def radius_power(cls, xi: DefiningVector, m: int) -> "InvariantPolynomial":
         """(|z|^2)^m expanded multinomially into z^alpha zbar^alpha terms."""
         k = len(xi.xi)
@@ -294,19 +288,6 @@ class ChartFunction:
     def degree_N(self) -> int:
         return self.xi.degree_N
 
-    def chart_scale(self) -> float:
-        return float(self.xi.q)
-
-    def eval(self, u: complex) -> float:
-        q = self.chart_scale()
-        n = self.degree_N
-        tau = (abs(u) ** 2 / q) ** (1.0 / n) if u != 0 else 0.0
-        total = 0.0 + 0.0j
-        for (k, d), c in self.terms.items():
-            base = u**k if k >= 0 else np.conj(u) ** (-k)
-            total += c_complex(c) * base * tau**d
-        return float(total.real)
-
     def is_zero(self, scale: float = 1.0) -> bool:
         return all(c_is_zero(c, scale) for c in self.terms.values())
 
@@ -403,7 +384,10 @@ def chart_jet(p: InvariantPolynomial) -> ChartJet:
             )
     a = 2.0 * c_complex(c_plus).real
     b = -2.0 * c_complex(c_plus).imag
-    d_val = c_complex(s_mod).real / math.sqrt(reduced.chart_scale())
+    # D = Re(s_mod) / sqrt(q); exact even powers of two keep a huge q finite
+    q = p.xi.q
+    e = max(q.bit_length() - 1000, 0) & ~1
+    d_val = math.ldexp(c_complex(s_mod).real / math.sqrt(float(q >> e)), -e // 2)
     exact = None
     if c_is_exact(c_plus) and c_is_exact(s_mod):
         cp = _coerce(c_plus)
@@ -423,24 +407,6 @@ def ephemeral_zero_set_test(jet: ChartJet) -> bool:
         a, b, d2 = jet.exact
         return a * a + b * b > d2
     return jet.margin() > 0.0
-
-
-def count_zero_rays(fn: ChartFunction, n_angles: int = 256, n_radii: int = 64) -> int:
-    """Numerical ray count of the zero set on a polar grid (oracle helper)."""
-    radii = np.linspace(0.1, 2.0, n_radii)
-    values = np.empty((n_angles, n_radii))
-    for i in range(n_angles):
-        theta = 2 * np.pi * i / n_angles
-        for j, r in enumerate(radii):
-            values[i, j] = fn.eval(r * np.exp(1j * theta))
-    scale = np.abs(values).max() or 1.0
-    ray = np.all(np.abs(values) <= 1e-7 * scale, axis=1)
-    crossing = np.zeros(n_angles, dtype=bool)
-    for i in range(n_angles):
-        prev = values[(i - 1) % n_angles]
-        if not ray[i] and not ray[(i - 1) % n_angles]:
-            crossing[i] = np.all(prev * values[i] < 0)
-    return int(ray.sum() + crossing.sum())
 
 
 def slice_restriction(

@@ -26,35 +26,6 @@ def _freeze(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def mat_mul(a, b) -> Matrix:
-    bt = list(zip(*b)) if b else []
-    return _freeze([[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a])
-
-
-def mat_det(a) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form of an integer matrix.
 

@@ -28,20 +28,8 @@ from .classifier import (
 from .errors import ParseError
 from .family import FamilySystem, PolarPoint, build_family
 from .fiberlab import ChartVerdict, ConnectivityReport
-from .jets import InvariantPolynomial, RationalComplex, _coerce, c_complex, c_is_exact
+from .jets import InvariantPolynomial, RationalComplex, c_complex
 from .lattice import DefiningVector, WeightMatrix
-
-
-def format_coefficient(c) -> str:
-    if c_is_exact(c):
-        c = _coerce(c)
-        if c.im == 0:
-            return str(c.re)
-        im = f"{c.im}i" if c.im < 0 or c.re == 0 else f"+{c.im}i"
-        re_part = str(c.re) if c.re != 0 else ""
-        return f"{re_part}{im}"
-    z = c_complex(c)
-    return f"~{z.real!r},{z.imag!r}"
 
 
 # Fraction builds a decimal exponent's power of ten exactly, so an
@@ -67,7 +55,7 @@ def _parse_imaginary_body(body: str) -> Fraction:
 
 
 def parse_coefficient(text: str):
-    """Inverse of format_coefficient: "1/2", "-1/2i", "1/3+2/5i", "~re,im"."""
+    """A coefficient string: exact "1/2", "-1/2i", "1/3+2/5i", or float "~re,im"."""
     text = text.strip().replace(" ", "")
     try:
         if text.startswith("~"):
@@ -89,15 +77,6 @@ def parse_coefficient(text: str):
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient string {text!r}") from exc
-
-
-def polynomial_to_terms(p: InvariantPolynomial) -> list[dict]:
-    out = []
-    for (a, b) in sorted(p.terms):
-        out.append(
-            {"a": list(a), "b": list(b), "c": format_coefficient(p.terms[(a, b)])}
-        )
-    return out
 
 
 def polynomial_from_terms(terms: list[dict], xi: DefiningVector) -> InvariantPolynomial:

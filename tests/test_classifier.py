@@ -11,6 +11,7 @@ import pytest
 import ephemera.classifier
 from ephemera.cli import CATALOG_NAMES
 from ephemera.classifier import (
+    RANK_TOL,
     SystemSpec,
     _kernel_of,
     classify_point,
@@ -27,6 +28,7 @@ from ephemera.family import PolarPoint, build_family, support_pattern_point
 from ephemera.jets import InvariantPolynomial, eval_terms, wirtinger_terms
 from ephemera.lattice import DefiningVector, WeightMatrix, smith_normal_form
 from ephemera.serial import load_spec_bytes
+from oracle_helpers import real_defining_monomial
 
 FAMILY_11M1 = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAMILY_21M1 = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
@@ -146,10 +148,6 @@ def test_moment_map_matches_its_definitions(sys):
     for count in {1, k + 1} - {k}:  # refused, not broadcast
         with pytest.raises(ValueError):
             sys.phi(np.ones((2, count)))
-    # the orbit directions are the Hamiltonian vector fields J grad Phi_a
-    jmat = standard_complex_structure(k)
-    for z in batch:
-        assert np.array_equal(sys.orbit_directions(z), jmat @ sys.dphi(z).T)
     # mu . Phi is quadratic, so central differences give its Hessian
     mu = rng.normal(size=d)
     x = np.empty(2 * k)
@@ -516,7 +514,7 @@ def _derivative_systems() -> list[SystemSpec]:
     xi = DefiningVector.from_entries((1, 2, 1))
     dense = (
         InvariantPolynomial.imag_defining_monomial(xi)
-        + InvariantPolynomial.real_defining_monomial(xi).scale(Fraction(1, 3))
+        + real_defining_monomial(xi).scale(Fraction(1, 3))
         + InvariantPolynomial.radius_power(xi, 2).scale(Fraction(1, 5))
         + InvariantPolynomial.radius_power(xi, 3).scale(Fraction(-1, 7))
     )
@@ -718,26 +716,13 @@ def _assert_same_report(batched, single) -> None:
 
 def test_classify_points_matches_classify_point():
     # one batch per system (shuffled supports, critical points, tolerance
-    # zeros and a widened kernel mixed in) against one call per point.  The
-    # chart jet of a support with a huge defining degree overflows a float
-    # (jets.ChartFunction.chart_scale); a batch holding such a point raises
-    # the same error, and the test compares the rest
+    # zeros and a widened kernel mixed in) against one call per point
     seen = Counter()
     for sys, points in _batch_cases():
-        singles, failing = {}, []
-        for i, z in enumerate(points):
-            try:
-                singles[i] = classify_point(sys, z)
-            except OverflowError:
-                failing.append(z)
-        if failing:
-            seen["overflow"] += len(failing)
-            with pytest.raises(OverflowError):
-                ephemera.classifier.classify_points(sys, np.array(failing + points[:3]))
-        kept = [points[i] for i in singles]
-        batched = ephemera.classifier.classify_points(sys, np.array(kept))
-        assert len(batched) == len(kept)
-        for single, report in zip(singles.values(), batched):
+        singles = [classify_point(sys, z) for z in points]
+        batched = ephemera.classifier.classify_points(sys, np.array(points))
+        assert len(batched) == len(points)
+        for single, report in zip(singles, batched):
             _assert_same_report(report, single)
             seen[report.label] += 1
             seen["critical"] += report.critical_mod_phi
@@ -745,6 +730,43 @@ def test_classify_points_matches_classify_point():
     assert {"regular", "regular-mod-phi-elliptic", "purely-elliptic"} <= set(seen)
     assert any(label in seen for label in ephemera.classifier.EPHEMERAL_LABELS)
     assert ephemera.classifier.classify_points(FAMILY_11M1.system, []) == []
+
+
+def _orbit_complement_slice(sys: SystemSpec, z) -> tuple[np.ndarray, np.ndarray]:
+    """(kernel, slice basis), the slice built the long way round: the
+    orthonormal complement, inside ker D(Phi), of the orbit directions
+    J D(Phi)^T (the Hamiltonian vector fields of the components of Phi)."""
+    dphi = sys.dphi(z)
+    kernel = _kernel_of(dphi, 2 * sys.coords)
+    orbit = standard_complex_structure(sys.coords) @ dphi.T
+    q = orbit[:, :0]
+    if orbit.size:
+        u, s, _ = np.linalg.svd(orbit, full_matrices=False)
+        q = u[:, : np.sum(s > RANK_TOL * max(s[0], 1e-300))]
+    u, s, _ = np.linalg.svd(kernel - q @ (q.T @ kernel), full_matrices=False)
+    return kernel, u[:, : np.sum(s > 0.5)]
+
+
+def test_symplectic_slice_matches_orbit_complement_oracle():
+    # ker D(Phi) ∩ J ker D(Phi) is the orbit's complement in the kernel:
+    # equal dimensions and spans (largest principal angle, through its
+    # sine) on the catalog systems, the local models and seeded generated
+    # families, at points of every support (tolerance zeros and a widened
+    # kernel included)
+    rng = np.random.default_rng(40)
+    systems = _moment_map_systems() + [
+        build_family(w).system for w in generated_weight_matrices(12, seed=41)
+    ]
+    dims = Counter()
+    for sys in systems:
+        for z in _points_of_every_support(sys, rng, per_support=2):
+            kernel, want = _orbit_complement_slice(sys, z)
+            u, dim = ephemera.classifier._symplectic_slice(sys.complex_structure, kernel)
+            assert dim == want.shape[1], (sys.name, z)
+            got = u[:, :dim]
+            assert np.linalg.norm(got - want @ (want.T @ got), 2) <= 1e-10, (sys.name, z)
+            dims[int(dim)] += 1
+    assert {2, 4, 6, 8} <= set(dims), dims
 
 
 def test_classify_points_derives_once_per_support_group(monkeypatch):

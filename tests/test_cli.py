@@ -23,17 +23,18 @@ import ephemera.classifier
 from ephemera.classifier import local_model_system
 from ephemera.cli import CATALOG_NAMES, main
 from ephemera.errors import ParseError
+from ephemera.family import classify_family_point
 from ephemera.jets import InvariantPolynomial, RationalComplex
 from ephemera.lattice import DefiningVector
 from ephemera.serial import (
-    format_coefficient,
+    load_spec_bytes,
     load_system_spec,
     parse_coefficient,
     parse_point,
     polynomial_from_terms,
-    polynomial_to_terms,
     validate_report_bundle,
 )
+from oracle_helpers import format_coefficient, polynomial_to_terms
 
 
 # the child process imports the same ephemera as the tests, installed or not
@@ -278,6 +279,30 @@ def test_cli_ephemeral_test_reports_short_support(tmp_path):
     spec.write_text(json.dumps(payload))
     assert main(["ephemeral-test", str(spec), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["ephemeral_tests"] == [origin]
+
+
+def test_cli_high_degree_support_reports(tmp_path):
+    # xi (130, -76, -117, -87, 9); on support (1, 2) the restricted degree is
+    # 193 and q = 76^76 117^117 is beyond a float.  Both commands report,
+    # and the label is the closed form's
+    point = {"r": [1.0, 0.0, 0.0, 1.0, 1.0], "theta": [0.0] * 5}
+    spec = tmp_path / "high_degree.json"
+    spec.write_text(json.dumps({
+        "name": "high_degree",
+        "kind": "family",
+        "description": "valid family with a degree-193 support",
+        "weights": [[-3, 0, -2, -2, -2], [1, -2, 1, 2, 1], [1, 1, -2, 3, -3], [0, 0, 2, -3, -3]],
+        "points": [point],
+    }))
+    out = tmp_path / "out.json"
+    assert main(["classify", str(spec), "--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())["reports"]
+    system, listed = load_spec_bytes(spec.read_bytes(), "high_degree")[:2]
+    assert system.xi.xi == (130, -76, -117, -87, 9)
+    assert report["label"] == classify_family_point(system, listed[0]) == "degenerate-ephemeral"
+    assert main(["ephemeral-test", str(spec), "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["ephemeral_tests"]
+    assert entry["support_degree"] == 193 and entry["ephemeral"] is True
 
 
 def test_cli_catalog_list_and_show():

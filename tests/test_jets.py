@@ -1,5 +1,6 @@
 """Invariant polynomials, chart reduction, and the zero-set predicate."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,13 @@ from ephemera.jets import (
     RationalComplex,
     chart_jet,
     check_invariance,
-    count_zero_rays,
     ephemeral_zero_set_test,
     reduced_taylor,
     slice_restriction,
     vanishes_below_order_mod_phi,
 )
 from ephemera.lattice import DefiningVector
+from oracle_helpers import chart_eval, count_zero_rays, real_defining_monomial
 
 XI_11 = DefiningVector.from_entries((1, 1))
 XI_21 = DefiningVector.from_entries((2, 1))
@@ -75,7 +76,7 @@ def test_reduced_taylor_of_imag_monomial_is_imag_u():
         p = InvariantPolynomial.imag_defining_monomial(xi)
         fn = reduced_taylor(p, xi.degree_N)
         for u in (1.0, 1j, 0.3 - 0.7j, -2.0 + 0.1j):
-            assert fn.eval(u) == pytest.approx(u.imag, abs=1e-12)
+            assert chart_eval(fn, u) == pytest.approx(u.imag, abs=1e-12)
 
 
 def test_reduced_taylor_truncation():
@@ -87,7 +88,7 @@ def test_reduced_taylor_radius_is_scaled_modulus():
     p = InvariantPolynomial.radius_power(XI_11, 1)
     fn = reduced_taylor(p, 2)
     for u in (1.0, 2j, 0.5 - 0.5j):
-        assert fn.eval(u) == pytest.approx(2.0 * abs(u))
+        assert chart_eval(fn, u) == pytest.approx(2.0 * abs(u))
 
 
 def test_vanishing_examples():
@@ -136,7 +137,7 @@ def test_vanishing_order_range():
 def test_chart_jet_examples():
     jet = chart_jet(imag_z1z2())
     assert (jet.A, jet.B, jet.D) == (0.0, 1.0, 0.0)
-    jet = chart_jet(InvariantPolynomial.real_defining_monomial(XI_11))
+    jet = chart_jet(real_defining_monomial(XI_11))
     assert (jet.A, jet.B, jet.D) == (1.0, 0.0, 0.0)
     # adding eps * |z|^2 at degree N=2 contributes 2*eps to the modulus slot
     mixed = imag_z1z2() + InvariantPolynomial.radius_power(XI_11, 1).scale(
@@ -147,6 +148,17 @@ def test_chart_jet_examples():
     assert jet.B == pytest.approx(1.0)
     assert jet.D == pytest.approx(0.2)
     assert jet.exact is not None
+
+
+def test_chart_jet_modulus_slot_when_q_overflows_a_float():
+    # xi = (200, 2): q = 200^200 * 2^2 is beyond a float, sqrt(q) and D are
+    # not; D = Re(s_mod) / sqrt(q) must agree with the exact D^2 = s_mod^2 / q
+    xi = DefiningVector.from_entries((200, 2))
+    assert xi.q > 2**1100
+    p = InvariantPolynomial.imag_defining_monomial(xi) + InvariantPolynomial.radius_power(xi, 101)
+    jet = chart_jet(p)
+    assert (jet.A, jet.B, jet.degree) == (0.0, 1.0, 202)
+    assert jet.D > 0 and jet.D == pytest.approx(math.sqrt(jet.exact[2]), rel=1e-14)
 
 
 def test_chart_jet_requires_vanishing():
@@ -242,7 +254,7 @@ def test_reduced_taylor_equals_zero_level_evaluation():
         for zk in z:
             u = defining_poly_eval(p.xi, zk)
             direct = p.eval(zk)
-            assert fn.eval(complex(u)) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+            assert chart_eval(fn, complex(u)) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 def test_marginal_band_on_float_path():

@@ -20,13 +20,12 @@ from ephemera.lattice import (
     defining_vector,
     degree_gt2_criterion,
     kernel_basis,
-    mat_det,
-    mat_mul,
     properness_check,
     slice_weights_from_xi,
     smith_normal_form,
     tall_and_degree,
 )
+from oracle_helpers import mat_det, mat_mul
 
 
 def stabilizer_of(w, support):
