@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotCriticalModPhi, NotInvariant, NotTall
+from .errors import NotCriticalModPhi, NotInvariant, NotTall, PrerequisiteVanishingFailed
 from .jets import (
     InvariantPolynomial,
     c_complex,
@@ -23,7 +23,6 @@ from .jets import (
     check_invariance,
     ephemeral_zero_set_test,
     slice_restriction,
-    vanishes_below_order_mod_phi,
     wirtinger_terms,
 )
 from .lattice import (
@@ -335,9 +334,10 @@ def ephemerality(sys: SystemSpec, point, support) -> tuple:
     degree N >= 2; the jet is None, and the point not ephemeral, when the
     slice data do not vanish below degree N modulo Phi."""
     p_slice = slice_data(sys, point, support)
-    if not vanishes_below_order_mod_phi(p_slice, p_slice.xi.degree_N):
+    try:
+        jet = chart_jet(p_slice)
+    except PrerequisiteVanishingFailed:
         return p_slice, None, False
-    jet = chart_jet(p_slice)
     return p_slice, jet, ephemeral_zero_set_test(jet)
 
 
@@ -413,14 +413,15 @@ class BlockData:
     eigenvalues: tuple[complex, ...]
 
 
-def _symplectic_slice(jmat: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _symplectic_slice(jmat: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, int]:
     """(u, dim): the first dim columns of u span ker ∩ J ker for kernels
-    (..., 2k, n).  The orbit J ker^perp lies in ker, so this is its
-    complement there; ker projects onto J ker with singular values 1 on it
-    and 0 on the orbit."""
+    (..., 2k, n) of one width n.  The rows of D(Phi) span an isotropic
+    subspace, so the orbit J ker^perp lies in ker and dim = n - (2k - n);
+    ker projects onto J ker with singular values 1 on the slice and 0 on
+    the orbit."""
     jk = jmat @ kernel
-    u, s, _ = np.linalg.svd(jk @ (np.swapaxes(jk, -1, -2) @ kernel), full_matrices=False)
-    return u, np.sum(s > 0.5, axis=-1)
+    u, _, _ = np.linalg.svd(jk @ (np.swapaxes(jk, -1, -2) @ kernel), full_matrices=False)
+    return u, 2 * kernel.shape[-1] - kernel.shape[-2]
 
 
 def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
@@ -436,8 +437,7 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
 
     Returns (blocks, degenerate, diagnostics).  For a stack of points of one
     support and kernel width (z (m, k), mu (m, d), kernel (m, 2k, n)) it
-    returns a list of these, one per point; the linear algebra runs stacked,
-    split where the slice dimension sets a shape.
+    returns a list of these, one per point; the linear algebra runs stacked.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
@@ -447,23 +447,18 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
     mu = np.asarray(mu, dtype=float).reshape(m, sys.torus_dim)
     kernel = np.asarray(kernel, dtype=float)
     kernel = kernel.reshape((m,) + kernel.shape[-2:])
-    u, dims = _symplectic_slice(sys.complex_structure, kernel)
-    results: list = [None] * m
-    for dim, at in _groups(dims):
-        if dim:
-            spectra = _slice_spectra(sys, z[at], mu[at], kernel[at], u[at, :, :dim], stab)
-        else:
-            spectra = [([], False, {"slice_dim": 0}) for _ in at]
-        for i, entry in zip(at, spectra):
-            results[i] = entry
+    u, dim = _symplectic_slice(sys.complex_structure, kernel)
+    if dim:
+        results = _slice_spectra(sys, z, mu, kernel, u[:, :, :dim], stab)
+    else:
+        results = [([], False, {"slice_dim": 0}) for _ in range(m)]
     return results[0] if single else results
 
 
 def _slice_spectra(sys, z, mu, kernel, slice_basis, stab) -> list:
-    """slice_hessian_blocks for a stack sharing the slice dimension:
+    """slice_hessian_blocks for a stack sharing the kernel width:
     kernel (m, 2k, n), slice_basis (m, 2k, dim)."""
     dim = slice_basis.shape[-1]
-    assert dim % 2 == 0, "slice of a symplectic complement must be even-dimensional"
     s_cplx = dim // 2
     jmat = sys.complex_structure
     basis_t = np.swapaxes(slice_basis, -1, -2)

@@ -8,6 +8,7 @@ reports are written atomically by a single writer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -60,9 +61,14 @@ def _load(path_or_name: str):
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(bundle: dict, out: str | None) -> None:
@@ -288,7 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.8:2.4:5,0.8:2.4:5",
         help="comma-separated axes lo:hi:count (default 0.8:2.4:5 per axis)",
     )
-    p.add_argument("--c-grid", type=_positive_int, default=21, help="levels per chart")
+    p.add_argument(
+        "--c-grid",
+        type=_positive_int,
+        default=21,
+        help="levels per chart (levels that coincide are sampled once)",
+    )
     p.add_argument("--resolution", type=int, default=512)
     p.add_argument("--csv", help="also write the flat CSV table here")
     p.add_argument(

@@ -146,23 +146,6 @@ def family_hessian(sys: FamilySystem, w: PolarPoint) -> np.ndarray:
     return out
 
 
-def hessian_profile_values(sys: FamilySystem, w: PolarPoint) -> tuple[float, float]:
-    """The two diagonal quadratic-form values of the critical Hessian.
-
-    Evaluated on the angle vector (xi_j) and the radius vector (xi_j / r_j);
-    closed forms: -(sum xi_j^2)^2 g(w) and -2 (sum xi_j^2 |xi_j| / r_j^4) g(w).
-    """
-    others, _ = _check_conditions(sys, w)
-    hess = family_hessian(sys, w)
-    xi = sys.xi.xi
-    m = len(others)
-    v_theta = np.array([float(xi[j]) for j in others])
-    v_r = np.array([xi[j] / w.r[j] for j in others])
-    theta_val = float(v_theta @ hess[:m, :m] @ v_theta)
-    r_val = float(v_r @ hess[m:, m:] @ v_r)
-    return theta_val, r_val
-
-
 def classify_family_point(sys: FamilySystem, w: PolarPoint) -> str:
     """Closed-form label, same vocabulary as the generic classifier."""
     support = w.support
@@ -185,38 +168,3 @@ def classify_family_point(sys: FamilySystem, w: PolarPoint) -> str:
             return "nondegenerate-ephemeral(hyperbolic-disconnected)"
         return "nondegenerate-ephemeral(focus-focus)"
     return "degenerate-ephemeral"
-
-
-def support_pattern_point(
-    sys: FamilySystem, support, rng, critical: bool = False
-) -> PolarPoint:
-    """Random point with exact zeros on the given support.
-
-    With critical=True (only sensible off the support of the exponents),
-    one angle and one radius are solved so both closed-form residuals
-    vanish; requires mixed exponent signs among the free coordinates.
-    """
-    n = sys.n
-    support = sorted(set(support))
-    r = [0.0 if i in support else float(rng.uniform(0.5, 2.0)) for i in range(n)]
-    theta = [float(rng.uniform(0.0, 2.0 * np.pi)) for _ in range(n)]
-    if not critical:
-        return PolarPoint(r=tuple(r), theta=tuple(theta))
-    xi = sys.xi.xi
-    others = [j for j in range(n) if j not in support]
-    free = [j for j in others if xi[j] != 0]
-    neg = [j for j in free if xi[j] < 0]
-    pos = [j for j in free if xi[j] > 0]
-    if not neg or not pos:
-        raise ValueError("critical points need mixed exponent signs off the support")
-    # solve the radial condition for one negative-exponent radius
-    j0 = neg[0]
-    rest = sum(xi[j] * abs(xi[j]) / r[j] ** 2 for j in free if j != j0)
-    if rest <= 0:
-        raise ValueError("remaining radial sum must be positive")
-    r[j0] = float(abs(xi[j0]) / rest**0.5)
-    # solve the angle condition with the last free angle
-    k0 = free[-1]
-    partial = sum(xi[j] * theta[j] for j in free if j != k0)
-    theta[k0] = float((np.pi / 2.0 - partial) / xi[k0])
-    return PolarPoint(r=tuple(r), theta=tuple(theta))

@@ -283,7 +283,11 @@ class ConnectivityReport:
 
 
 def off_critical_levels(morse: MorseReport, count: int, r_max: float) -> list[float]:
-    """Evenly spread sample levels nudged away from critical values."""
+    """Evenly spread sample levels nudged away from critical values.
+
+    Nudging can move several levels onto one value; each value is kept
+    once, at its first place, so at most count levels are returned.
+    """
     critical_values = sorted({v for _, _, v, _ in morse.critical_points})
     span = 2.0 * r_max
     delta = CRITICAL_LEVEL_OFFSET * span
@@ -294,7 +298,7 @@ def off_critical_levels(morse: MorseReport, count: int, r_max: float) -> list[fl
             if abs(c - v) < delta:
                 c = v + delta if c >= v else v - delta
         levels.append(c)
-    return levels
+    return list(dict.fromkeys(levels))
 
 
 def _verdict_for_chart(chart, c_count: int, resolution: int) -> ChartVerdict:

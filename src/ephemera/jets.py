@@ -141,18 +141,6 @@ class InvariantPolynomial:
         b = tuple(max(-e, 0) for e in xi.xi)
         return cls.hermitian({(a, b): RationalComplex.of(0, Fraction(-1, 2))}, xi)
 
-    @classmethod
-    def radius_power(cls, xi: DefiningVector, m: int) -> "InvariantPolynomial":
-        """(|z|^2)^m expanded multinomially into z^alpha zbar^alpha terms."""
-        k = len(xi.xi)
-        terms = {}
-        for alpha in _compositions(m, k):
-            coeff = Fraction(math.factorial(m))
-            for e in alpha:
-                coeff /= math.factorial(e)
-            terms[(alpha, alpha)] = RationalComplex.of(coeff, 0)
-        return cls(terms=terms, xi=xi)
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "InvariantPolynomial") -> "InvariantPolynomial":
@@ -196,24 +184,6 @@ class InvariantPolynomial:
     def wirtinger(self, j: int, conjugate: bool = False) -> dict:
         """Raw term dict of the derivative with respect to z_j (or zbar_j)."""
         return wirtinger_terms(self.terms, j, conjugate)
-
-    def pullback_rotation(self, angles) -> "InvariantPolynomial":
-        """Precompose with the coordinatewise rotation z -> lambda * z."""
-        angles = np.asarray(angles, dtype=float)
-        terms = {}
-        for (a, b), c in self.terms.items():
-            phase = np.exp(1j * float(np.dot(np.subtract(a, b), angles)))
-            terms[(a, b)] = c_complex(c) * phase
-        return InvariantPolynomial(terms=terms, xi=self.xi)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def eval_terms(terms: dict, z) -> complex:
@@ -362,26 +332,20 @@ class ChartJet:
 
 
 def chart_jet(p: InvariantPolynomial) -> ChartJet:
-    """Degree-N reduced chart coefficients of a polynomial vanishing below N,
-    from one push-down to degree N whose terms below N must all vanish."""
+    """Degree-N reduced chart coefficients of a polynomial vanishing below N.
+
+    Raises PrerequisiteVanishingFailed unless vanishes_below_order_mod_phi
+    holds at N; the jet is then read off the degree-N push-down: u (with
+    its conjugate mirror) and |u| are its only terms of degree N.
+    """
     n = p.xi.degree_N
-    if n < 1:
-        raise OrderOutOfRange(f"need a model degree of at least 1, got {n}")
+    if not vanishes_below_order_mod_phi(p, n):
+        raise PrerequisiteVanishingFailed(
+            "reduced truncation below the model degree does not vanish"
+        )
     reduced = reduced_taylor(p.without_constant(), n)
-    scale = p.coefficient_scale()
-    c_plus = 0
-    s_mod = 0
-    for (k, d), c in reduced.terms.items():
-        if (k, d) == (1, 0):
-            c_plus = c
-        elif (k, d) == (-1, 0):
-            pass  # conjugate mirror of c_plus
-        elif k == 0 and 2 * d == n:
-            s_mod = c
-        elif not c_is_zero(c, scale):
-            raise PrerequisiteVanishingFailed(
-                "reduced truncation below the model degree does not vanish"
-            )
+    c_plus = reduced.terms.get((1, 0), 0)
+    s_mod = reduced.terms.get((0, n // 2), 0) if n % 2 == 0 else 0
     a = 2.0 * c_complex(c_plus).real
     b = -2.0 * c_complex(c_plus).imag
     # D = Re(s_mod) / sqrt(q); exact even powers of two keep a huge q finite

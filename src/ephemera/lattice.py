@@ -1,7 +1,7 @@
 """Exact integer-lattice algebra for complexity-one torus actions.
 
-Everything in this module is computed with arbitrary-precision integers
-(and Fractions for the feasibility check); no floating point enters.
+Everything in this module is computed with arbitrary-precision integers;
+no floating point enters.
 Weight matrices are stored as tuples of rows; the j-th *column* is the
 isotropy weight of the torus action on the j-th complex coordinate.
 Index sets are 0-based throughout.
@@ -10,7 +10,6 @@ Index sets are 0-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 
 from .errors import InvalidAction
@@ -219,9 +218,6 @@ class WeightMatrix:
     def torus_dim(self) -> int:
         return len(self.entries)
 
-    def weight(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
 
 def defining_vector(w: WeightMatrix) -> DefiningVector:
     """Primitive generator of the kernel of the character map, canonical sign."""
@@ -261,27 +257,11 @@ def slice_weights_from_xi(xi: DefiningVector) -> tuple[tuple[int, ...], ...]:
 def properness_check(w: WeightMatrix) -> bool:
     """Whether some covector pairs strictly positively with every weight.
 
-    Decided exactly: Fourier-Motzkin elimination over the rationals on the
-    system <eta_j, v> >= 1 (scale invariance makes strict feasibility and
-    this system equivalent).
+    By Gordan's alternative such a covector exists exactly when no nonzero
+    c >= 0 has sum_j c_j eta_j = 0.  Every relation among the weights is a
+    multiple of xi, so that holds exactly when xi mixes signs.
     """
-    d = w.torus_dim
-    # constraints sum_a c[a] v[a] >= rhs
-    cons = [([Fraction(x) for x in w.weight(j)], Fraction(1)) for j in range(w.n)]
-    for a in range(d):
-        pos = [c for c in cons if c[0][a] > 0]
-        neg = [c for c in cons if c[0][a] < 0]
-        rest = [c for c in cons if c[0][a] == 0]
-        new = list(rest)
-        for cp, rp in pos:
-            for cn, rn in neg:
-                # eliminate v[a] between cp (positive coeff) and cn (negative)
-                scale_p = -cn[a]
-                scale_n = cp[a]
-                coeffs = [scale_p * x + scale_n * y for x, y in zip(cp, cn)]
-                new.append((coeffs, scale_p * rp + scale_n * rn))
-        cons = new
-    return all(rhs <= 0 for _, rhs in cons)
+    return not defining_vector(w).tall
 
 
 def degree_gt2_criterion(slice_weights, component_count: int) -> bool:

@@ -19,12 +19,7 @@ import jsonschema
 import numpy as np
 from jsonschema.exceptions import best_match
 
-from .classifier import (
-    BlockData,
-    SingularityReport,
-    SystemSpec,
-    local_model_system,
-)
+from .classifier import BlockData, SingularityReport, local_model_system
 from .errors import ParseError
 from .family import FamilySystem, PolarPoint, build_family
 from .fiberlab import ChartVerdict, ConnectivityReport
@@ -83,6 +78,8 @@ def polynomial_from_terms(terms: list[dict], xi: DefiningVector) -> InvariantPol
     parsed = {}
     for item in terms:
         key = (tuple(item["a"]), tuple(item["b"]))
+        if key in parsed:
+            raise ParseError(f"bad g_terms: exponent pair a={item['a']}, b={item['b']} repeats")
         parsed[key] = parse_coefficient(item["c"])
     try:
         return InvariantPolynomial(terms=parsed, xi=xi)
@@ -321,8 +318,3 @@ def connectivity_csv_rows(report: ConnectivityReport) -> list[list]:
             )
     return rows
 
-
-def validate_report_bundle(data: dict) -> None:
-    error = _schema_error(data, "report_bundle.schema.json")
-    if error is not None:
-        raise error

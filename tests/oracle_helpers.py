@@ -1,10 +1,13 @@
-"""Reference code that only the tests use: numerical and exact oracles, and
-the writer side of the coefficient and term round trips."""
+"""Reference code that only the tests use: numerical and exact oracles,
+seeded test points and polynomials, and the writer side of the coefficient
+and term round trips."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from ephemera.family import FamilySystem, PolarPoint, _check_conditions, family_hessian
 from ephemera.jets import (
     ChartFunction,
     InvariantPolynomial,
@@ -13,7 +16,121 @@ from ephemera.jets import (
     c_complex,
     c_is_exact,
 )
-from ephemera.lattice import DefiningVector
+from ephemera.lattice import DefiningVector, WeightMatrix
+from ephemera.serial import _schema_error
+
+
+def fourier_motzkin_proper(w: WeightMatrix) -> bool:
+    """Whether some covector pairs strictly positively with every weight.
+
+    Decided exactly, independently of the kernel vector: Fourier-Motzkin
+    elimination over the rationals on the system <eta_j, v> >= 1 (scale
+    invariance makes strict feasibility and this system equivalent).
+    """
+    # constraints sum_a c[a] v[a] >= rhs, one per weight (column of w)
+    cons = [([Fraction(x) for x in col], Fraction(1)) for col in zip(*w.entries)]
+    for a in range(w.torus_dim):
+        pos = [c for c in cons if c[0][a] > 0]
+        neg = [c for c in cons if c[0][a] < 0]
+        new = [c for c in cons if c[0][a] == 0]
+        for cp, rp in pos:
+            for cn, rn in neg:
+                # eliminate v[a] between cp (positive coeff) and cn (negative)
+                scale_p = -cn[a]
+                scale_n = cp[a]
+                coeffs = [scale_p * x + scale_n * y for x, y in zip(cp, cn)]
+                new.append((coeffs, scale_p * rp + scale_n * rn))
+        cons = new
+    return all(rhs <= 0 for _, rhs in cons)
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def radius_power(xi: DefiningVector, m: int) -> InvariantPolynomial:
+    """(|z|^2)^m expanded multinomially into z^alpha zbar^alpha terms."""
+    terms = {}
+    for alpha in _compositions(m, len(xi.xi)):
+        coeff = Fraction(math.factorial(m))
+        for e in alpha:
+            coeff /= math.factorial(e)
+        terms[(alpha, alpha)] = RationalComplex.of(coeff, 0)
+    return InvariantPolynomial(terms=terms, xi=xi)
+
+
+def pullback_rotation(p: InvariantPolynomial, angles) -> InvariantPolynomial:
+    """Precompose p with the coordinatewise rotation z -> lambda * z."""
+    angles = np.asarray(angles, dtype=float)
+    terms = {}
+    for (a, b), c in p.terms.items():
+        phase = np.exp(1j * float(np.dot(np.subtract(a, b), angles)))
+        terms[(a, b)] = c_complex(c) * phase
+    return InvariantPolynomial(terms=terms, xi=p.xi)
+
+
+def hessian_profile_values(sys: FamilySystem, w: PolarPoint) -> tuple[float, float]:
+    """The two diagonal quadratic-form values of the critical Hessian.
+
+    Evaluated on the angle vector (xi_j) and the radius vector (xi_j / r_j);
+    closed forms: -(sum xi_j^2)^2 g(w) and -2 (sum xi_j^2 |xi_j| / r_j^4) g(w).
+    """
+    others, _ = _check_conditions(sys, w)
+    hess = family_hessian(sys, w)
+    xi = sys.xi.xi
+    m = len(others)
+    v_theta = np.array([float(xi[j]) for j in others])
+    v_r = np.array([xi[j] / w.r[j] for j in others])
+    theta_val = float(v_theta @ hess[:m, :m] @ v_theta)
+    r_val = float(v_r @ hess[m:, m:] @ v_r)
+    return theta_val, r_val
+
+
+def support_pattern_point(
+    sys: FamilySystem, support, rng, critical: bool = False
+) -> PolarPoint:
+    """Random point with exact zeros on the given support.
+
+    With critical=True (only sensible off the support of the exponents),
+    one angle and one radius are solved so both closed-form residuals
+    vanish; requires mixed exponent signs among the free coordinates.
+    """
+    n = sys.n
+    support = sorted(set(support))
+    r = [0.0 if i in support else float(rng.uniform(0.5, 2.0)) for i in range(n)]
+    theta = [float(rng.uniform(0.0, 2.0 * np.pi)) for _ in range(n)]
+    if not critical:
+        return PolarPoint(r=tuple(r), theta=tuple(theta))
+    xi = sys.xi.xi
+    others = [j for j in range(n) if j not in support]
+    free = [j for j in others if xi[j] != 0]
+    neg = [j for j in free if xi[j] < 0]
+    pos = [j for j in free if xi[j] > 0]
+    if not neg or not pos:
+        raise ValueError("critical points need mixed exponent signs off the support")
+    # solve the radial condition for one negative-exponent radius
+    j0 = neg[0]
+    rest = sum(xi[j] * abs(xi[j]) / r[j] ** 2 for j in free if j != j0)
+    if rest <= 0:
+        raise ValueError("remaining radial sum must be positive")
+    r[j0] = float(abs(xi[j0]) / rest**0.5)
+    # solve the angle condition with the last free angle
+    k0 = free[-1]
+    partial = sum(xi[j] * theta[j] for j in free if j != k0)
+    theta[k0] = float((np.pi / 2.0 - partial) / xi[k0])
+    return PolarPoint(r=tuple(r), theta=tuple(theta))
+
+
+def validate_report_bundle(data: dict) -> None:
+    """Raise the most relevant violation of the shipped report-bundle schema."""
+    error = _schema_error(data, "report_bundle.schema.json")
+    if error is not None:
+        raise error
 
 
 def real_defining_monomial(xi: DefiningVector) -> InvariantPolynomial:

@@ -24,11 +24,16 @@ from ephemera.classifier import (
     support_of,
 )
 from ephemera.errors import InvalidAction, NotCriticalModPhi
-from ephemera.family import PolarPoint, build_family, support_pattern_point
+from ephemera.family import PolarPoint, build_family
 from ephemera.jets import InvariantPolynomial, eval_terms, wirtinger_terms
 from ephemera.lattice import DefiningVector, WeightMatrix, smith_normal_form
 from ephemera.serial import load_spec_bytes
-from oracle_helpers import real_defining_monomial
+from oracle_helpers import (
+    pullback_rotation,
+    radius_power,
+    real_defining_monomial,
+    support_pattern_point,
+)
 
 FAMILY_11M1 = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAMILY_21M1 = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
@@ -361,7 +366,7 @@ def test_stabilizer_slice_matches_snf_oracle_on_generated_weights():
         for k in range(w.n + 1):
             for support in itertools.combinations(range(w.n), k):
                 s = stabilizer_slice(system, support)
-                rows = [w.weight(j) for j in range(w.n) if j not in support]
+                rows = [col for j, col in enumerate(zip(*w.entries)) if j not in support]
                 oracle = 1
                 if rows:
                     _, d, _ = smith_normal_form(rows)
@@ -402,8 +407,6 @@ def test_regular_mod_phi_points_have_degree_one_models():
     for fam in (FAMILY_11M1, FAMILY_21M1):
         for support in [(0,), (1,), (2,), (0, 2), (1, 2)]:
             for _ in range(20):
-                from ephemera.family import support_pattern_point
-
                 w = support_pattern_point(fam, support, rng)
                 rep = classify_point(fam.system, w.to_complex())
                 if rep.label == "regular-mod-phi-elliptic":
@@ -428,7 +431,7 @@ def test_trichotomy_transition_under_elliptic_perturbation():
         (Fraction(4, 5), "purely-elliptic"),
         (Fraction(6, 5), "purely-elliptic"),
     ]:
-        g = base + InvariantPolynomial.radius_power(xi, 1).scale(eps)
+        g = base + radius_power(xi, 1).scale(eps)
         sys = local_model_system(xi, g=g)
         rep = classify_point(sys, np.zeros(2, complex))
         assert rep.label == expected, eps
@@ -515,8 +518,8 @@ def _derivative_systems() -> list[SystemSpec]:
     dense = (
         InvariantPolynomial.imag_defining_monomial(xi)
         + real_defining_monomial(xi).scale(Fraction(1, 3))
-        + InvariantPolynomial.radius_power(xi, 2).scale(Fraction(1, 5))
-        + InvariantPolynomial.radius_power(xi, 3).scale(Fraction(-1, 7))
+        + radius_power(xi, 2).scale(Fraction(1, 5))
+        + radius_power(xi, 3).scale(Fraction(-1, 7))
     )
     return (
         _moment_map_systems()
@@ -524,7 +527,9 @@ def _derivative_systems() -> list[SystemSpec]:
         + [build_family(w).system for w in generated_weight_matrices(12, seed=31)]
         + [
             local_model_system(xi, g=dense, name="dense"),
-            local_model_system(xi, g=dense.pullback_rotation((0.3, -1.1, 2.0)), name="dense-float"),
+            local_model_system(
+                xi, g=pullback_rotation(dense, (0.3, -1.1, 2.0)), name="dense-float"
+            ),
         ]
     )
 

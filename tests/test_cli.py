@@ -32,9 +32,13 @@ from ephemera.serial import (
     parse_coefficient,
     parse_point,
     polynomial_from_terms,
+)
+from oracle_helpers import (
+    format_coefficient,
+    polynomial_to_terms,
+    radius_power,
     validate_report_bundle,
 )
-from oracle_helpers import format_coefficient, polynomial_to_terms
 
 
 # the child process imports the same ephemera as the tests, installed or not
@@ -84,7 +88,7 @@ def test_coefficient_strings_roundtrip():
 def test_polynomial_terms_roundtrip():
     xi = DefiningVector.from_entries((1, 1))
     p = InvariantPolynomial.imag_defining_monomial(xi) + (
-        InvariantPolynomial.radius_power(xi, 1).scale(Fraction(1, 3))
+        radius_power(xi, 1).scale(Fraction(1, 3))
     )
     terms = polynomial_to_terms(p)
     back = polynomial_from_terms(terms, xi)
@@ -525,6 +529,49 @@ def test_cli_rejects_malformed_spec_file(command, text, tmp_path, capsys):
     spec.write_text(text)
     assert main([command, str(spec)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "repeat",
+    [
+        pytest.param(_mirrored_product_terms("-1/2i"), id="both-terms-twice"),
+        pytest.param([{"a": [1, 1], "b": [0, 0], "c": "1/3"}], id="other-coefficient"),
+    ],
+)
+def test_cli_rejects_repeated_g_terms_pair(repeat, tmp_path, capsys):
+    # Im(z1 z2) listed once, then a term of the same exponent pair again
+    terms = [
+        {"a": [1, 1], "b": [0, 0], "c": "-1/2i"},
+        {"a": [0, 0], "b": [1, 1], "c": "1/2i"},
+    ] + repeat
+    spec = tmp_path / "repeat.json"
+    spec.write_text(_local_model_spec(terms))
+    assert main(["classify", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad g_terms: exponent pair a=[1, 1], b=[0, 0] repeats")
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_cli_unwritable_output_path_exits_2(option, tmp_path):
+    if option == "--out":
+        argv = ["classify", "family_11m1"]
+    else:
+        argv = ["fiber-scan", "family_11m1", "--beta-grid=1:1:1,1:1:1", "--c-grid", "3",
+                "--resolution", "64", "--no-synthetic-check",
+                "--out", str(tmp_path / "scan.json")]
+    missing = tmp_path / "no" / "such" / "x"
+    code, err = _exit_code_and_message(argv + [option, str(missing)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}: ")
+    # a directory as the target: the temporary file is written, then removed
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, err = _exit_code_and_message(argv + [option, str(target)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["scan.json", "taken"] if option == "--csv" else ["taken"]
+    )
 
 
 @pytest.mark.parametrize(

@@ -13,12 +13,11 @@ from ephemera.family import (
     classify_family_point,
     eval_polar,
     family_hessian,
-    hessian_profile_values,
     singularity_conditions,
-    support_pattern_point,
 )
 from ephemera.jets import check_invariance
 from ephemera.lattice import WeightMatrix
+from oracle_helpers import hessian_profile_values, support_pattern_point
 
 FAM = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAM_CUBIC = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))

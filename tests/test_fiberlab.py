@@ -359,6 +359,27 @@ def test_sampled_levels_do_not_depend_on_resolution():
             assert list(a.levels) == list(b.levels), a.beta
 
 
+def test_coinciding_levels_are_sampled_once(monkeypatch):
+    # at 2001 levels nudging moves several onto the same value next to the
+    # synthetic control's critical values; each value is labelled once and
+    # every labelled level is reported
+    import ephemera.fiberlab
+
+    labelled = []
+
+    def recording(chart, levels, resolution=256):
+        labelled.append(list(levels))
+        return level_components(chart, levels, resolution)
+
+    monkeypatch.setattr(ephemera.fiberlab, "level_components", recording)
+    synth = SyntheticChart(dip=0.7)
+    verdict = _verdict_for_chart(synth, 2001, MIN_RESOLUTION)
+    (levels,) = labelled
+    assert len(set(levels)) == len(levels) < 2001
+    assert list(verdict.levels) == levels
+    assert levels == sorted(levels)
+
+
 def test_resolution_stability():
     chart = reduced_surface(FAM, (1, 1))
     report = critical_scan(chart)

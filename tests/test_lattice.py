@@ -25,7 +25,7 @@ from ephemera.lattice import (
     smith_normal_form,
     tall_and_degree,
 )
-from oracle_helpers import mat_det, mat_mul
+from oracle_helpers import fourier_motzkin_proper, mat_det, mat_mul
 
 
 def stabilizer_of(w, support):
@@ -199,7 +199,7 @@ def test_defining_vector_column_permutation_consistency():
     base = defining_vector(W_11M1)
     for _ in range(20):
         perm = rng.permutation(3)
-        cols = [W_11M1.weight(int(j)) for j in perm]
+        cols = [tuple(row[int(j)] for row in W_11M1.entries) for j in perm]
         w = WeightMatrix(tuple(zip(*cols)))
         dv = defining_vector(w)
         permuted = canonical_sign([base.xi[int(j)] for j in perm])
@@ -287,18 +287,25 @@ def test_properness():
 
 
 def test_properness_equals_mixed_sign_kernel():
-    # a half-space certificate exists exactly when the kernel vector mixes signs
+    # properness_check reads the signs of xi (Gordan's alternative); the
+    # reference decides the same half-space certificate by Fourier-Motzkin
+    # elimination on the weights, without the kernel vector
     rng = np.random.default_rng(3)
     count = 0
-    while count < 50:
-        n = int(rng.integers(2, 5))
+    seen = set()
+    while count < 240:
+        n = int(rng.integers(2, 6))
         a = rng.integers(-3, 4, size=(n - 1, n))
         try:
             w = WeightMatrix(tuple(tuple(int(x) for x in row) for row in a))
         except InvalidAction:
             continue
         count += 1
-        assert properness_check(w) == (not defining_vector(w).tall)
+        proper = fourier_motzkin_proper(w)
+        assert proper == (not defining_vector(w).tall), w.entries
+        assert properness_check(w) == proper, w.entries
+        seen.add((n, proper))
+    assert seen == {(n, p) for n in range(2, 6) for p in (True, False)}
 
 
 def slice_data_from_xi(xi_entries):
