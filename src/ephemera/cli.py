@@ -59,24 +59,34 @@ def _load(path_or_name: str):
     return (*load_spec_bytes(raw, label), label)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _emit(bundle: dict, out: str | None, extra=()) -> None:
+    """Write the JSON bundle to out (stdout if None) and each extra (path, text).
+
+    All or none: every file is staged to a temporary name, and a target
+    that is a directory is refused, before any is renamed into place;
+    stdout is written last.
+    """
+    outputs = [(out, json.dumps(bundle, indent=2) + "\n"), *extra]
+    staged = []
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            if path:
+                staged.append((f"{path}.tmp.{os.getpid()}.{len(staged)}", path))
+                with open(staged[-1][0], "w") as fh:
+                    fh.write(text)
+        for _, path in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError("is a directory")
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise ParseError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(bundle: dict, out: str | None) -> None:
-    text = json.dumps(bundle, indent=2) + "\n"
-    if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
+    for path, text in outputs:
+        if not path:
+            sys.stdout.write(text)
 
 
 def _bundle(args, input_hash: str, label: str, started: float) -> dict:
@@ -209,12 +219,13 @@ def cmd_fiber_scan(args) -> int:
     bundle = _bundle(args, digest, label, started)
     bundle["connectivity"] = connectivity_to_json(report)
     bundle["timing_seconds"] = time.perf_counter() - started
-    _emit(bundle, args.out)
+    extra = []
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerows(connectivity_csv_rows(report))
-        _atomic_write(args.csv, buf.getvalue())
+        extra.append((args.csv, buf.getvalue()))
+    _emit(bundle, args.out, extra)
     return 0 if report.all_consistent else 3
 
 

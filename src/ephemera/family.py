@@ -47,8 +47,11 @@ def build_family(w: WeightMatrix, name: str = "") -> FamilySystem:
 
 @dataclass(frozen=True)
 class PolarPoint:
+    """Radii and angles; z keeps complex coordinates the point was listed in."""
+
     r: tuple[float, ...]
     theta: tuple[float, ...]
+    z: tuple[complex, ...] | None = None
 
     def __post_init__(self):
         if any(x < 0 for x in self.r):
@@ -61,6 +64,8 @@ class PolarPoint:
         return support_of(self.r)
 
     def to_complex(self) -> np.ndarray:
+        if self.z is not None:
+            return np.array(self.z, dtype=complex)
         r = np.asarray(self.r, dtype=float)
         th = np.asarray(self.theta, dtype=float)
         return r * np.exp(1j * th)
@@ -71,6 +76,7 @@ class PolarPoint:
         return cls(
             r=tuple(float(x) for x in np.abs(z)),
             theta=tuple(float(x) for x in np.angle(z)),
+            z=tuple(complex(x) for x in z),
         )
 
 

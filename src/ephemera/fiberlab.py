@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import EmptyFiber, NotProper
 from .family import FamilySystem
-from .lattice import smith_normal_form
 
 MIN_RESOLUTION = 64
 CRITICAL_LEVEL_OFFSET = 1e-3  # nudge levels off critical values by this times range
@@ -62,22 +61,19 @@ class ReducedSurfaceChart:
         positive on (0, 1), so it is strictly concave, and its doubled
         derivative L(t) = sum |xi_j| (s1_j - s0_j) / s_j(t) falls from +inf
         at the collapsed start to -inf at the collapsed end.  Bisection on
-        the sign of L stops when the midpoint stops moving; a float sum too
-        small to trust its sign is redone exactly, so t brackets the exact
-        root to the last bit.
+        the sign of L stops when the midpoint stops moving.  Each sign is
+        decided in integers: over a common denominator den, A_j = den s0_j,
+        B_j = den (s1_j - s0_j); at t = p/q, S_j = A_j q + B_j p > 0 and
+        L(t) = q sum |xi_j| B_j / S_j has the sign of sum |xi_j| B_j prod_{i!=j} S_i.
         """
-        moving = [(abs(e), a, b) for e, a, b in zip(self.xi, self.s_start, self.s_end) if e]
-        floats = [(k * float(b - a), float(a), float(b)) for k, a, b in moving]
+        moving = [(abs(e), a, b - a) for e, a, b in zip(self.xi, self.s_start, self.s_end) if e]
+        den = math.lcm(*(x.denominator for _, a, b in moving for x in (a, b)))
+        terms = [(k, int(a * den), int(b * den)) for k, a, b in moving]
 
-        def slope(t: float):
-            terms = [num / (a * (1.0 - t) + b * t) for num, a, b in floats]
-            total = math.fsum(terms)
-            # each term is off by under 8 roundings of 2**-53, so beyond
-            # 2**-49 times the magnitudes the float sum has the sign of L
-            if abs(total) > 2.0**-49 * math.fsum(map(abs, terms)):
-                return total
-            t = Fraction(t)
-            return sum(k * (b - a) / (a + (b - a) * t) for k, a, b in moving)
+        def slope(t: float) -> int:
+            p, q = t.as_integer_ratio()
+            s = [a * q + b * p for _, a, b in terms]
+            return sum(k * b * math.prod(s[:j] + s[j + 1:]) for j, (k, _, b) in enumerate(terms))
 
         lo, hi, mid = 0.0, 1.0, 0.5
         while mid not in (lo, hi):
@@ -93,22 +89,19 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
     """Exact segment solve of the reduced space over a target value.
 
     The squared radii satisfy (1/2) W s = beta with s >= 0; the solution
-    set is the segment s* + c xi clipped to the orthant.  Properness gives
-    xi both signs; c_min is where a coordinate with xi_j > 0 reaches 0 and
+    set is the segment s* + c xi clipped to the orthant, with s* = 2 R beta
+    for the weights' integer right inverse R.  Properness gives xi both
+    signs; c_min is where a coordinate with xi_j > 0 reaches 0 and
     c_max where one with xi_j < 0 does, so each endpoint support holds a
     nonzero exponent and both end circles collapse to points.
     """
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")
     beta = [Fraction(str(b)) if isinstance(b, float) else Fraction(b) for b in beta]
-    w = sys.weights.entries
-    d, n = len(w), sys.n
+    d, n = sys.weights.torus_dim, sys.n
     if len(beta) != d:
         raise ValueError(f"target must have {d} components")
-    u, diag, v = smith_normal_form(w)
-    rhs = [sum(u[i][a] * 2 * beta[a] for a in range(d)) for i in range(d)]
-    y = [rhs[i] / diag[i][i] for i in range(d)] + [Fraction(0)] * (n - d)
-    s_star = [sum(Fraction(v[j][i]) * y[i] for i in range(n)) for j in range(n)]
+    s_star = [2 * sum(x * b for x, b in zip(row, beta)) for row in sys.weights.right_inverse]
     xi = sys.xi.xi
     c_min, c_max = None, None
     for j in range(n):

@@ -151,17 +151,6 @@ class InvariantPolynomial:
             terms[key] = terms.get(key, 0) + c
         return InvariantPolynomial(terms=terms, xi=self.xi)
 
-    def scale(self, factor) -> "InvariantPolynomial":
-        if isinstance(factor, (int, Fraction)):
-            factor = RationalComplex.of(factor)
-        elif not isinstance(factor, RationalComplex):
-            factor = complex(factor)
-            if factor.imag != 0:
-                raise ValueError("scaling a real polynomial needs a real factor")
-        return InvariantPolynomial(
-            terms={k: c * factor for k, c in self.terms.items()}, xi=self.xi
-        )
-
     def without_constant(self) -> "InvariantPolynomial":
         k = len(self.xi.xi)
         zero = (tuple([0] * k), tuple([0] * k))

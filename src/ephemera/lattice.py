@@ -9,7 +9,7 @@ Index sets are 0-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 
 from .errors import InvalidAction
@@ -189,9 +189,14 @@ class DefiningVector:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Isotropy weights of an (n-1)-torus acting on C^n, one weight per column."""
+    """Isotropy weights of an (n-1)-torus acting on C^n, one weight per column.
+
+    Its one Smith normal form u W v = [I_d 0] gives, uncompared, the kernel
+    (v's last column, canonical sign) and the integer right_inverse v[:, :d] u."""
 
     entries: Matrix
+    kernel: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    right_inverse: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _freeze(self.entries))
@@ -203,12 +208,15 @@ class WeightMatrix:
             )
         if any(len(row) != n for row in self.entries):
             raise InvalidAction("ragged weight matrix")
-        _, diag, _ = smith_normal_form(self.entries)
+        u, diag, v = smith_normal_form(self.entries)
         invariants = [diag[i][i] for i in range(d)]
         if any(x == 0 for x in invariants):
             raise InvalidAction("kernel of the character map has rank > 1")
         if any(x != 1 for x in invariants):
             raise InvalidAction("character map is not surjective onto the lattice")
+        object.__setattr__(self, "kernel", canonical_sign(row[d] for row in v))
+        object.__setattr__(self, "right_inverse", _freeze(
+            [sum(row[i] * u[i][a] for i in range(d)) for a in range(d)] for row in v))
 
     @property
     def n(self) -> int:
@@ -221,10 +229,7 @@ class WeightMatrix:
 
 def defining_vector(w: WeightMatrix) -> DefiningVector:
     """Primitive generator of the kernel of the character map, canonical sign."""
-    basis = kernel_basis(w.entries)
-    if len(basis) != 1:
-        raise InvalidAction(f"kernel rank {len(basis)} != 1")
-    return DefiningVector.from_entries(basis[0])
+    return DefiningVector.from_entries(w.kernel)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,17 @@ def radius_power(xi: DefiningVector, m: int) -> InvariantPolynomial:
     return InvariantPolynomial(terms=terms, xi=xi)
 
 
+def scale(p: InvariantPolynomial, factor) -> InvariantPolynomial:
+    """p times a real factor, exact for int and Fraction factors."""
+    if isinstance(factor, (int, Fraction)):
+        factor = RationalComplex.of(factor)
+    elif not isinstance(factor, RationalComplex):
+        factor = complex(factor)
+        if factor.imag != 0:
+            raise ValueError("scaling a real polynomial needs a real factor")
+    return InvariantPolynomial(terms={k: c * factor for k, c in p.terms.items()}, xi=p.xi)
+
+
 def pullback_rotation(p: InvariantPolynomial, angles) -> InvariantPolynomial:
     """Precompose p with the coordinatewise rotation z -> lambda * z."""
     angles = np.asarray(angles, dtype=float)

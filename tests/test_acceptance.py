@@ -46,6 +46,7 @@ from oracle_helpers import (
     hessian_profile_values,
     pullback_rotation,
     radius_power,
+    scale,
     support_pattern_point,
 )
 
@@ -311,9 +312,7 @@ def test_criterion_8_rotation_invariance():
     ]
     catalog.append(
         InvariantPolynomial.imag_defining_monomial(DefiningVector.from_entries((1, 1)))
-        + radius_power(
-            DefiningVector.from_entries((1, 1)), 1
-        ).scale(Fraction(1, 10))
+        + scale(radius_power(DefiningVector.from_entries((1, 1)), 1), Fraction(1, 10))
     )
     for p in catalog:
         base = chart_jet(p)

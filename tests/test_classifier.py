@@ -32,6 +32,7 @@ from oracle_helpers import (
     pullback_rotation,
     radius_power,
     real_defining_monomial,
+    scale,
     support_pattern_point,
 )
 
@@ -431,7 +432,7 @@ def test_trichotomy_transition_under_elliptic_perturbation():
         (Fraction(4, 5), "purely-elliptic"),
         (Fraction(6, 5), "purely-elliptic"),
     ]:
-        g = base + radius_power(xi, 1).scale(eps)
+        g = base + scale(radius_power(xi, 1), eps)
         sys = local_model_system(xi, g=g)
         rep = classify_point(sys, np.zeros(2, complex))
         assert rep.label == expected, eps
@@ -517,9 +518,9 @@ def _derivative_systems() -> list[SystemSpec]:
     xi = DefiningVector.from_entries((1, 2, 1))
     dense = (
         InvariantPolynomial.imag_defining_monomial(xi)
-        + real_defining_monomial(xi).scale(Fraction(1, 3))
-        + radius_power(xi, 2).scale(Fraction(1, 5))
-        + radius_power(xi, 3).scale(Fraction(-1, 7))
+        + scale(real_defining_monomial(xi), Fraction(1, 3))
+        + scale(radius_power(xi, 2), Fraction(1, 5))
+        + scale(radius_power(xi, 3), Fraction(-1, 7))
     )
     return (
         _moment_map_systems()

@@ -37,6 +37,7 @@ from oracle_helpers import (
     format_coefficient,
     polynomial_to_terms,
     radius_power,
+    scale,
     validate_report_bundle,
 )
 
@@ -88,7 +89,7 @@ def test_coefficient_strings_roundtrip():
 def test_polynomial_terms_roundtrip():
     xi = DefiningVector.from_entries((1, 1))
     p = InvariantPolynomial.imag_defining_monomial(xi) + (
-        radius_power(xi, 1).scale(Fraction(1, 3))
+        scale(radius_power(xi, 1), Fraction(1, 3))
     )
     terms = polynomial_to_terms(p)
     back = polynomial_from_terms(terms, xi)
@@ -439,6 +440,20 @@ def _family_spec_with_point(point_text: str) -> str:
     return json.dumps(payload).replace('"POINT"', point_text)
 
 
+def test_cli_classify_reports_z_point_as_listed(tmp_path):
+    # a point listed by its complex coordinates is classified and reported at
+    # those coordinates, not at r e^{i theta} rebuilt from its polar form
+    listed = [[0.1, 0.7], [-1, 0], [0.3, -0.0]]
+    spec = tmp_path / "z.json"
+    spec.write_text(_family_spec_with_point(json.dumps({"z": listed})))
+    out = tmp_path / "c.json"
+    assert main(["classify", str(spec), "--out", str(out)]) == 0
+    point = json.loads(out.read_text())["reports"][0]["point"]
+    assert [[float(x).hex() for x in pair] for pair in point] == [
+        [float(x).hex() for x in pair] for pair in listed
+    ]
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -563,15 +578,28 @@ def test_cli_unwritable_output_path_exits_2(option, tmp_path):
     code, err = _exit_code_and_message(argv + [option, str(missing)])
     assert code == 2
     assert err.startswith(f"error: cannot write {missing}: ")
-    # a directory as the target: the temporary file is written, then removed
+    # a directory as the target: the temporary files are written, then
+    # removed, and no other output of the run is left behind
     target = tmp_path / "taken"
     target.mkdir()
     code, err = _exit_code_and_message(argv + [option, str(target)])
     assert code == 2
     assert err.startswith(f"error: cannot write {target}: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == (
-        ["scan.json", "taken"] if option == "--csv" else ["taken"]
-    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_cli_fiber_scan_unwritable_csv_prints_nothing(tmp_path, capsys):
+    # the JSON bundle goes to stdout only once the CSV is in place
+    argv = ["fiber-scan", "family_11m1", "--beta-grid=1:1:1,1:1:1", "--c-grid", "3",
+            "--resolution", "64", "--no-synthetic-check"]
+    for target in (tmp_path / "no" / "such.csv", tmp_path):
+        assert main(argv + ["--csv", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+    assert main(argv + ["--csv", str(tmp_path / "scan.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "fiber-scan"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
 
 @pytest.mark.parametrize(

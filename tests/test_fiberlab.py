@@ -1,6 +1,8 @@
 """Reduced surfaces, Morse scans, and level-set component counts."""
 
+import json
 import math
+import sys
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ephemera.lattice
+from ephemera.cli import main
 from ephemera.errors import EmptyFiber, InvalidAction, NotProper
 from ephemera.family import PolarPoint, build_family, eval_polar
 from ephemera.fiberlab import (
@@ -425,3 +429,27 @@ def test_connectivity_report_statuses_on_wide_grid():
     assert report.all_consistent is True
     statuses = Counter(c.status for c in report.charts)
     assert statuses == {"ok": 100, "empty": 104, "point": 21}
+
+
+@pytest.mark.parametrize("axis", ["1:2:1", "0.8:2.4:4"])
+def test_fiber_scan_takes_one_smith_normal_form_per_family(axis, tmp_path, monkeypatch):
+    # the segment solve reads the weight matrix's right inverse, so loading
+    # the family is the one normal form of a scan, whatever its chart count
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return snf(a)
+
+    snf = ephemera.lattice.smith_normal_form
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ephemera") and hasattr(module, "smith_normal_form"):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    out = tmp_path / "scan.json"
+    argv = ["fiber-scan", "family_11m1", f"--beta-grid={axis},{axis}", "--c-grid", "3",
+            "--resolution", "64", "--no-synthetic-check", "--out", str(out)]
+    assert main(argv) == 0
+    charts = json.loads(out.read_text())["connectivity"]["charts"]
+    assert len(charts) == int(axis.rsplit(":", 1)[1]) ** 2
+    assert sum(c["status"] == "ok" for c in charts) >= 1
+    assert len(calls) == 1

@@ -25,6 +25,7 @@ from oracle_helpers import (
     pullback_rotation,
     radius_power,
     real_defining_monomial,
+    scale,
 )
 
 XI_11 = DefiningVector.from_entries((1, 1))
@@ -146,9 +147,7 @@ def test_chart_jet_examples():
     jet = chart_jet(real_defining_monomial(XI_11))
     assert (jet.A, jet.B, jet.D) == (1.0, 0.0, 0.0)
     # adding eps * |z|^2 at degree N=2 contributes 2*eps to the modulus slot
-    mixed = imag_z1z2() + radius_power(XI_11, 1).scale(
-        Fraction(1, 10)
-    )
+    mixed = imag_z1z2() + scale(radius_power(XI_11, 1), Fraction(1, 10))
     jet = chart_jet(mixed)
     assert jet.A == pytest.approx(0.0)
     assert jet.B == pytest.approx(1.0)
@@ -198,9 +197,9 @@ def test_zero_ray_oracle_agrees_with_predicate():
         imag_z1z2(),
         InvariantPolynomial.imag_defining_monomial(XI_21),
         InvariantPolynomial.imag_defining_monomial(XI_N[4]),
-        imag_z1z2() + radius_power(XI_11, 1).scale(Fraction(1, 10)),
+        imag_z1z2() + scale(radius_power(XI_11, 1), Fraction(1, 10)),
         radius_power(XI_11, 1),
-        imag_z1z2() + radius_power(XI_11, 1).scale(Fraction(3, 4)),
+        imag_z1z2() + scale(radius_power(XI_11, 1), Fraction(3, 4)),
     ]
     for p in cases:
         n = p.xi.degree_N
@@ -244,7 +243,7 @@ def test_reduced_taylor_equals_zero_level_evaluation():
         InvariantPolynomial.imag_defining_monomial(XI_21),
         radius_power(XI_21, 2),
         InvariantPolynomial.imag_defining_monomial(XI_11)
-        + radius_power(XI_11, 2).scale(Fraction(2, 7)),
+        + scale(radius_power(XI_11, 2), Fraction(2, 7)),
         InvariantPolynomial.hermitian(
             {
                 ((1, 0), (1, 0)): RationalComplex.of(Fraction(3, 4)),
@@ -266,9 +265,7 @@ def test_reduced_taylor_equals_zero_level_evaluation():
 def test_marginal_band_on_float_path():
     # the boundary case is exactly decidable with rational coefficients but
     # flagged as marginal once rotations push it onto the float path
-    boundary = imag_z1z2() + radius_power(XI_11, 1).scale(
-        Fraction(1, 2)
-    )
+    boundary = imag_z1z2() + scale(radius_power(XI_11, 1), Fraction(1, 2))
     jet = chart_jet(boundary)
     assert jet.exact is not None
     assert ephemeral_zero_set_test(jet) is False
@@ -299,7 +296,7 @@ def test_slice_restriction_matches_direct_expansion():
 
 
 def test_serialization_roundtrip_via_eval():
-    p = imag_z1z2() + radius_power(XI_11, 1).scale(Fraction(1, 3))
+    p = imag_z1z2() + scale(radius_power(XI_11, 1), Fraction(1, 3))
     clone = InvariantPolynomial(terms=dict(p.terms), xi=p.xi)
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -206,6 +206,28 @@ def test_defining_vector_column_permutation_consistency():
         assert dv.xi == permuted
 
 
+def test_weight_matrix_keeps_kernel_and_integer_right_inverse():
+    # the one Smith normal form of validation gives both: W R = I exactly,
+    # and the kernel equals the basis a fresh normal form would give
+    rng = np.random.default_rng(13)
+    count = 0
+    seen = set()
+    while count < 1000:
+        n = int(rng.integers(2, 6))
+        a = rng.integers(-3, 4, size=(n - 1, n))
+        try:
+            w = WeightMatrix(tuple(tuple(int(x) for x in row) for row in a))
+        except InvalidAction:
+            continue
+        count += 1
+        seen.add(n)
+        identity = tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1))
+        assert mat_mul(w.entries, w.right_inverse) == identity, w.entries
+        assert all(isinstance(x, int) for row in w.right_inverse for x in row)
+        assert w.kernel == kernel_basis(w.entries)[0], w.entries
+    assert seen == {2, 3, 4, 5}
+
+
 def test_weight_matrix_validation():
     with pytest.raises(InvalidAction):
         WeightMatrix(((2, 0, 2), (0, 1, 1)))  # not surjective
