@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 validation or parse error, 3 failed
 Morse-connectivity cross-check.  No command draws a random number, and
-reports are written atomically by a single writer.
+reports are written atomically by a single writer.  A report bundle is
+one line of compact JSON with a trailing newline (`python -m json.tool`
+pretty-prints it); `catalog show --json` prints a shipped spec file as it
+is stored, indented.
 """
 
 from __future__ import annotations
@@ -62,11 +65,12 @@ def _load(path_or_name: str):
 def _emit(bundle: dict, out: str | None, extra=()) -> None:
     """Write the JSON bundle to out (stdout if None) and each extra (path, text).
 
-    All or none: every file is staged to a temporary name, and a target
-    that is a directory is refused, before any is renamed into place;
-    stdout is written last.
+    The bundle is one line of compact JSON, which the C encoder writes;
+    `python -m json.tool` pretty-prints it.  All or none: every file is
+    staged to a temporary name, and a target that is a directory is
+    refused, before any is renamed into place; stdout is written last.
     """
-    outputs = [(out, json.dumps(bundle, indent=2) + "\n"), *extra]
+    outputs = [(out, json.dumps(bundle) + "\n"), *extra]
     staged = []
     try:
         for path, text in outputs:
@@ -251,8 +255,8 @@ def cmd_catalog(args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 

@@ -295,11 +295,12 @@ def connectivity_obstruction(orbit_slices) -> bool:
     Input: stabilizer data for tall orbits lying in one moment fiber.  True
     when three or more of them have defining degree > 2, in which case no
     extension whose tall singular points are all non-degenerate can have
-    every fiber connected.
+    every fiber connected.  A tall orbit's symplectic slice has rank + 1
+    complex dimensions; those that slice_weights (the vanishing
+    coordinates) leaves out have weight zero, as on the open stratum.
     """
-    hits = sum(
-        1
-        for s in orbit_slices
-        if degree_gt2_criterion(s.slice_weights, s.component_count)
-    )
+    hits = 0
+    for s in orbit_slices:
+        zeros = ((0,) * s.rank,) * (s.rank + 1 - len(s.slice_weights))
+        hits += degree_gt2_criterion(s.slice_weights + zeros, s.component_count)
     return hits >= 3

@@ -1,5 +1,6 @@
 """Generic classification pipeline: criticality, multipliers, block types."""
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ephemera.classifier
 from ephemera.cli import CATALOG_NAMES
@@ -15,6 +18,7 @@ from ephemera.classifier import (
     SystemSpec,
     _kernel_of,
     classify_point,
+    classify_points,
     fiber_verdicts,
     lagrange_multiplier,
     local_model_system,
@@ -343,6 +347,48 @@ def test_fiber_verdicts():
     fake = classify_point(FAMILY_11M1.system, CATALOG_POINT.to_complex())
     fake.label = "hyperbolic-connected"
     assert fiber_verdicts([fake]).connectivity_expected is False
+
+
+@functools.cache
+def _generated_tall_reports() -> tuple:
+    """Tall reports at points of every support pattern of 8 seeded valid
+    families (n in {3, 4}, entries in [-2, 2], as in the generated-family
+    label gate), two points per pattern."""
+    rng = np.random.default_rng(2025)
+    families = []
+    while len(families) < 8:
+        n = int(rng.integers(3, 5))
+        entries = rng.integers(-2, 3, size=(n - 1, n))
+        try:
+            families.append(build_family(WeightMatrix(tuple(map(tuple, entries.tolist())))))
+        except InvalidAction:
+            continue
+    reports = []
+    for fam in families:
+        points = [support_pattern_point(fam, support, rng).to_complex()
+                  for k in range(fam.n + 1)
+                  for support in itertools.combinations(range(fam.n), k)
+                  for _ in range(2)]
+        reports += [r for r in classify_points(fam.system, points) if r.tall]
+    return tuple(reports)
+
+
+def test_generated_tall_reports_span_both_degree_sides():
+    degrees = Counter(r.degree_N > 2 for r in _generated_tall_reports())
+    assert degrees[True] >= 3 and degrees[False] >= 3, degrees
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_connectivity_obstruction_counts_tall_reports_of_degree_above_two(data):
+    # fiber_verdicts' obstruction holds exactly when at least three tall
+    # reports of the fiber have degree_N > 2, in whatever order they come
+    pool = _generated_tall_reports()
+    fiber = data.draw(st.lists(st.sampled_from(pool), max_size=7))
+    expected = sum(r.degree_N > 2 for r in fiber) >= 3
+    assert fiber_verdicts(fiber).obstruction is expected
+    shuffled = data.draw(st.permutations(fiber))
+    assert fiber_verdicts(shuffled).obstruction is expected
 
 
 def generated_weight_matrices(count: int, seed: int) -> list[WeightMatrix]:

@@ -103,6 +103,37 @@ def test_catalog_files_roundtrip_byte_identical():
         assert (json.dumps(data, indent=2) + "\n").encode() == raw
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cli_catalog_show_json_prints_the_shipped_file(name, capsys):
+    assert main(["catalog", "show", name, "--json"]) == 0
+    assert capsys.readouterr().out.encode() == catalog_path(name)
+
+
+_BUNDLE_COMMANDS = {
+    "classify": ["classify", "family_21m1"],
+    "ephemeral-test": ["ephemeral-test", "ex2_pq"],
+    "fiber-scan": ["fiber-scan", "family_11m1", "--beta-grid", "1.0:1.4:2,1.0:1.4:2",
+                   "--c-grid", "3", "--resolution", "64"],
+}
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("command", sorted(_BUNDLE_COMMANDS))
+def test_report_bundles_are_one_line_of_compact_json(command, to_file, tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    argv = _BUNDLE_COMMANDS[command] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    if to_file:
+        assert printed == ""
+        raw = out.read_bytes()
+    else:
+        raw = printed.encode()
+    assert raw == (json.dumps(json.loads(raw)) + "\n").encode()
+    assert raw.count(b"\n") == 1
+    validate_report_bundle(json.loads(raw))
+
+
 def test_catalog_files_validate_and_load():
     for name in CATALOG_NAMES:
         data = json.loads(catalog_path(name))
@@ -399,6 +430,17 @@ def test_tolerance_scale_does_not_leak_between_calls(tmp_path):
     assert main(["classify", str(spec), "--out", str(default)]) == 0
     labels = [json.loads(p.read_text())["reports"][0]["label"] for p in (scaled, default)]
     assert labels == ["purely-elliptic", "regular"]
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1"])
+def test_tolerance_scale_must_be_finite_and_positive(value, tmp_path, capsys):
+    # an infinite scale made every tolerance infinite and every point critical
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "family_11m1", f"--tolerance-scale={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

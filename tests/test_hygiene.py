@@ -1,5 +1,6 @@
 """Static hygiene of the package, read from the source with ast: no unused
-imports, and no function or method that nothing in the program calls."""
+imports, no function or method that nothing in the program calls, and no
+indented JSON encoding outside `catalog show`."""
 
 import ast
 from collections import Counter
@@ -82,3 +83,23 @@ def test_every_function_has_a_caller_in_the_program():
                 for qualified, name, method in _definitions(_tree(path))
                 if not attributes[name] and (method or not names[name])]
     assert uncalled == []
+
+
+def test_no_indented_json_encoding_outside_catalog_show():
+    # any indent sends json.dump(s) to the pure-Python encoder, which cost a
+    # classify round a third of its time; report bundles are written compact.
+    # Only cli.cmd_catalog indents, to print a shipped spec file as stored
+    indented = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        allowed = {id(node) for top in tree.body
+                   if path.name == "cli.py" and getattr(top, "name", None) == "cmd_catalog"
+                   for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+                indented.append(f"{path.name}:{node.lineno}")
+    assert indented == []

@@ -365,3 +365,10 @@ def test_connectivity_obstruction():
     assert connectivity_obstruction([bad, bad]) is False
     assert connectivity_obstruction([ok, ok, ok]) is False
     assert connectivity_obstruction([ok, bad, bad, bad]) is True
+    # free orbits and a support on which xi vanishes have degree below 3: the
+    # slice direction along the non-vanishing coordinates has weight zero
+    free = stabilizer_of(W_11M1, ())
+    assert connectivity_obstruction([free, free, free]) is False
+    circle = stabilizer_of(WeightMatrix(((1, 0, 0), (0, 1, 1))), (0,))
+    assert circle.xi_restricted.xi == (0,) and circle.rank == 1
+    assert connectivity_obstruction([circle, circle, circle, bad, bad]) is False
