@@ -10,7 +10,6 @@ Real coordinates are ordered (x_1, y_1, ..., x_k, y_k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,11 @@ from .lattice import (
 )
 
 RANK_TOL = 1e-8
-SUPPORT_TOL = 1e-10
+# The one vanishing rule: a coordinate is zero at or below 1e-8 of the
+# point's scale.  The support fixes the stabilizer, whose rank fixes that of
+# D(Phi); a smaller tolerance would keep in the row space directions of
+# singular value below 1e-8, which an SVD fixes only to about eps over it.
+SUPPORT_TOL = 1e-8
 EIG_TOL = 1e-7
 
 LABELS = (
@@ -268,7 +271,7 @@ def support_of(z, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
 
 
 def _groups(keys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(key, row indices) for each distinct row of an (m,) or (m, k) array."""
+    """(key, row indices) for each distinct row of an (m, k) array."""
     if np.all(keys == keys[:1]):  # the common case, and every single point
         return [(keys[0], np.arange(len(keys)))]
     unique, inverse = np.unique(keys, axis=0, return_inverse=True)
@@ -341,22 +344,15 @@ def ephemerality(sys: SystemSpec, point, support) -> tuple:
     return p_slice, jet, ephemeral_zero_set_test(jet)
 
 
-def _kernel_of(matrix: np.ndarray, ambient: int):
-    """Orthonormal kernel basis (columns) of a row-listed linear map.
+def _kernel_of(dphi: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal kernel (columns) of D(Phi) listed by rows, (..., 2k, 2k - rank).
 
-    A stack (..., rows, ambient) gives a list of bases, one per matrix in
-    row-major order, since their widths may differ; the SVDs run as one
-    stacked call.
+    rank is D(Phi)'s rank, sys.torus_dim minus the stabilizer rank of the
+    points' support; the kernel is read from one stacked SVD (with no rows,
+    V = I) and laid out C-contiguous.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    stack = matrix.reshape((math.prod(matrix.shape[:-2]),) + matrix.shape[-2:])
-    if matrix.size == 0 or not matrix.shape[-2]:
-        bases = [np.eye(ambient) for _ in stack]
-    else:
-        _, s, vt = np.linalg.svd(stack)
-        rank = np.sum(s > RANK_TOL * np.maximum(s[:, :1], 1e-300), axis=1)
-        bases = [v[r:].T for v, r in zip(vt, rank.tolist())]
-    return bases[0] if matrix.ndim == 2 else bases
+    vt = np.linalg.svd(dphi)[2]
+    return np.ascontiguousarray(np.swapaxes(vt[..., rank:, :], -1, -2))
 
 
 def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0):
@@ -436,7 +432,7 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
     restricted forms spanning less than the complex slice dimension.
 
     Returns (blocks, degenerate, diagnostics).  For a stack of points of one
-    support and kernel width (z (m, k), mu (m, d), kernel (m, 2k, n)) it
+    support (z (m, k), mu (m, d), kernel (m, 2k, n)) it
     returns a list of these, one per point; the linear algebra runs stacked.
     """
     z = np.asarray(z, dtype=complex)
@@ -456,7 +452,7 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
 
 
 def _slice_spectra(sys, z, mu, kernel, slice_basis, stab) -> list:
-    """slice_hessian_blocks for a stack sharing the kernel width:
+    """slice_hessian_blocks for a stack of one support:
     kernel (m, 2k, n), slice_basis (m, 2k, dim)."""
     dim = slice_basis.shape[-1]
     s_cplx = dim // 2
@@ -571,10 +567,10 @@ def classify_points(
 
     Points are grouped by support.  Each group derives its stabilizer once
     and runs D(Phi), its kernel, grad g, the criticality rule, the
-    multipliers and the slice eigenproblem as stacked calls, split where the
-    kernel width sets a shape; the eigenvalue pairing and the exact jet
-    path run per point.  tolerance_scale multiplies the criticality and
-    multiplier thresholds.
+    multipliers and the slice eigenproblem as stacked calls; the support's
+    stabilizer fixes the rank of D(Phi), so every kernel of a group has one
+    width.  The eigenvalue pairing and the exact jet path run per point.
+    tolerance_scale multiplies the criticality and multiplier thresholds.
     """
     k = sys.coords
     z_all = np.asarray(points, dtype=complex)
@@ -588,26 +584,20 @@ def classify_points(
         stab = stabilizer_slice(sys, support)
         z = z_all[rows]
         dphi = sys.dphi(z)
-        kernels = _kernel_of(dphi, 2 * k)
+        kernel = _kernel_of(dphi, sys.torus_dim - stab.rank)
         grad = sys.grad_g(z)
-        for width, sub in _groups(np.array([b.shape[1] for b in kernels])):
-            kernel = np.stack([kernels[i] for i in sub])
-            critical = is_critical_mod_phi(kernel, grad[sub], tolerance_scale)
-            crit = sub[critical]
-            critical_data = {}
-            if len(crit):
-                mu = lagrange_multiplier(dphi[crit], grad[crit], tolerance_scale)
-                blocks = slice_hessian_blocks(sys, z[crit], mu, kernel[critical], stab)
-                critical_data = {i: (m, *b) for i, m, b in zip(crit.tolist(), mu, blocks)}
-            dphi_full = width == 2 * k - sys.torus_dim
-            for i in sub.tolist():
-                reports[rows[i]] = _report(
-                    sys, z[i], support, stab, dphi_full, critical_data.get(i)
-                )
+        crit = np.flatnonzero(is_critical_mod_phi(kernel, grad, tolerance_scale))
+        critical_data = {}
+        if len(crit):
+            mu = lagrange_multiplier(dphi[crit], grad[crit], tolerance_scale)
+            blocks = slice_hessian_blocks(sys, z[crit], mu, kernel[crit], stab)
+            critical_data = {i: (m, *b) for i, m, b in zip(crit.tolist(), mu, blocks)}
+        for i, row in enumerate(rows.tolist()):
+            reports[row] = _report(sys, z[i], support, stab, critical_data.get(i))
     return reports
 
 
-def _report(sys, z, support, stab, dphi_full, critical_data) -> SingularityReport:
+def _report(sys, z, support, stab, critical_data) -> SingularityReport:
     """One point's label from its batched data; critical_data is (mu, blocks,
     degenerate, block diagnostics), or None when g is not critical mod Phi."""
     xi_r = stab.xi_restricted
@@ -618,9 +608,8 @@ def _report(sys, z, support, stab, dphi_full, critical_data) -> SingularityRepor
     blocks: list[BlockData] = []
     if critical_data is None:
         # g is not critical modulo Phi, so dF = (D(Phi), dg) has full rank
-        # exactly when D(Phi) does; thresholding the stacked singular values
-        # against the largest one instead lets a large |dg| hide a rank drop
-        label = "regular" if dphi_full else "regular-mod-phi-elliptic"
+        # exactly when D(Phi) does, that is when the stabilizer is finite
+        label = "regular" if stab.rank == 0 else "regular-mod-phi-elliptic"
     else:
         mu, blocks, degenerate, block_diag = critical_data
         diagnostics.update(block_diag)

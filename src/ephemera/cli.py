@@ -125,7 +125,7 @@ def _points_for(system, listed, args):
 
 def cmd_classify(args) -> int:
     started = time.perf_counter()
-    system, listed, _, digest, label = _load(args.spec)
+    system, listed, digest, label = _load(args.spec)
     points = _points_for(system, listed, args)
     spec = _system_of(system)
     reports = classify_points(
@@ -148,7 +148,7 @@ def cmd_classify(args) -> int:
 
 def cmd_ephemeral_test(args) -> int:
     started = time.perf_counter()
-    system, listed, _, digest, label = _load(args.spec)
+    system, listed, digest, label = _load(args.spec)
     points = _points_for(system, listed, args)
     spec = _system_of(system)
     results = []
@@ -199,7 +199,7 @@ def _beta_axes(text: str) -> list[np.ndarray]:
 
 def cmd_fiber_scan(args) -> int:
     started = time.perf_counter()
-    system, _, _, digest, label = _load(args.spec)
+    system, _, digest, label = _load(args.spec)
     if not isinstance(system, FamilySystem):
         raise ParseError("fiber-scan needs a family spec (kind = \"family\")")
     if args.resolution < MIN_RESOLUTION:

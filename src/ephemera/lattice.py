@@ -272,12 +272,17 @@ def properness_check(w: WeightMatrix) -> bool:
 def degree_gt2_criterion(slice_weights, component_count: int) -> bool:
     """Whether a tall model with these stabilizer data has defining degree > 2.
 
-    slice_weights is a sequence of integer weight vectors (possibly empty
-    vectors when the stabilizer is finite).  Holds exactly if a zero weight
+    slice_weights is a sequence of integer weight vectors of one length, the
+    stabilizer rank (empty vectors when the stabilizer is finite).  A tall
+    orbit's symplectic slice has rank + 1 complex dimensions; those the
+    list leaves out, such as the non-vanishing direction of a free orbit,
+    carry weight zero and are appended here.  Holds exactly if a zero weight
     forces more than two components and an opposite pair forces a
     disconnected group.
     """
     weights = [tuple(v) for v in slice_weights]
+    rank = len(weights[0]) if weights else 0
+    weights += [(0,) * rank] * (rank + 1 - len(weights))
     for eta in weights:
         if all(x == 0 for x in eta) and component_count <= 2:
             return False
@@ -295,12 +300,9 @@ def connectivity_obstruction(orbit_slices) -> bool:
     Input: stabilizer data for tall orbits lying in one moment fiber.  True
     when three or more of them have defining degree > 2, in which case no
     extension whose tall singular points are all non-degenerate can have
-    every fiber connected.  A tall orbit's symplectic slice has rank + 1
-    complex dimensions; those that slice_weights (the vanishing
-    coordinates) leaves out have weight zero, as on the open stratum.
+    every fiber connected.
     """
     hits = 0
     for s in orbit_slices:
-        zeros = ((0,) * s.rank,) * (s.rank + 1 - len(s.slice_weights))
-        hits += degree_gt2_criterion(s.slice_weights + zeros, s.component_count)
+        hits += degree_gt2_criterion(s.slice_weights, s.component_count)
     return hits >= 3

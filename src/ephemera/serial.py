@@ -103,7 +103,7 @@ def _schema_error(data, name: str):
 def load_system_spec(data: dict):
     """Validate a spec dict and build the system it describes.
 
-    Returns (system_or_family, points, data).  Family entries give a
+    Returns (system_or_family, points).  Family entries give a
     FamilySystem; local-model entries give a SystemSpec on the slice.
     Every listed point must have one finite coordinate per system
     coordinate.
@@ -149,7 +149,7 @@ def load_system_spec(data: dict):
         raise ParseError(
             f"spec overflows a float: degree {degree}, max(1, |z|) = {radius:.3g}"
         )
-    return system, points, data
+    return system, points
 
 
 def _point_numbers(entry, value, what: str) -> list:
@@ -208,13 +208,13 @@ def read_spec_bytes(path: str) -> bytes:
 
 
 def load_spec_bytes(raw: bytes, label: str):
-    """Parse, validate and hash a spec: (system, points, data, sha256)."""
+    """Parse, validate and hash a spec: (system, points, sha256)."""
     try:
         data = json.loads(raw)
     except ValueError as exc:
         raise ParseError(f"{label} is not valid JSON: {exc}") from exc
-    system, points, data = load_system_spec(data)
-    return system, points, data, hashlib.sha256(raw).hexdigest()
+    system, points = load_system_spec(data)
+    return system, points, hashlib.sha256(raw).hexdigest()
 
 
 def load_spec_file(path: str):

@@ -493,8 +493,8 @@ def test_block_typing_invariant_under_multiplier_shift():
     z = np.array([0.0, 0.0, 1.0], dtype=complex)
     rep = classify_point(sys, z)
     mu = np.array(rep.multiplier)
-    kernel = _kernel_of(sys.dphi(z), 2 * sys.coords)
     stab = stabilizer_slice(sys, (0, 1))
+    kernel = _kernel_of(sys.dphi(z), sys.torus_dim - stab.rank)
     assert stab.lie_basis  # positive-dimensional stabilizer
     for zeta in stab.lie_basis:
         shifted = mu + 0.7 * np.array(zeta, dtype=float)
@@ -684,16 +684,18 @@ def test_batched_derivatives_match_per_call_oracle_bit_for_bit():
         assert sys.hess_g(z[:4].reshape(2, 2, k)).tobytes() == hess[:4].tobytes()
 
 
-def _points_of_every_support(sys: SystemSpec, rng, per_support: int = 3) -> list:
+def _points_of_every_support(
+    sys: SystemSpec, rng, per_support: int = 3, scales=(1e-12, 1e-9)
+) -> list:
     """Random points with exact zeros on each support, and per support one
-    point whose zeros are 1e-12 of its scale (inside SUPPORT_TOL) and one
-    with a coordinate at 1e-9 of it (outside, but below D(Phi)'s rank
-    threshold, so the kernel widens within its support group)."""
+    point for each of scales, whose vanishing coordinates sit at about that
+    size relative to the others (1e-12 and 1e-9 are inside SUPPORT_TOL, so
+    those points share the support, its stabilizer and its kernel width)."""
     k = sys.coords
     points = []
     for m in range(k + 1):
         for support in itertools.combinations(range(k), m):
-            for tiny in (0.0,) * per_support + (1e-12, 1e-9):
+            for tiny in (0.0,) * per_support + tuple(scales):
                 z = rng.uniform(0.5, 2.0, size=k) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k))
                 z[list(support)] *= tiny
                 points.append(z)
@@ -767,8 +769,8 @@ def _assert_same_report(batched, single) -> None:
 
 
 def test_classify_points_matches_classify_point():
-    # one batch per system (shuffled supports, critical points, tolerance
-    # zeros and a widened kernel mixed in) against one call per point
+    # one batch per system (shuffled supports, critical points and
+    # tolerance zeros at 1e-12 and 1e-9 mixed in) against one call per point
     seen = Counter()
     for sys, points in _batch_cases():
         singles = [classify_point(sys, z) for z in points]
@@ -784,12 +786,41 @@ def test_classify_points_matches_classify_point():
     assert ephemera.classifier.classify_points(FAMILY_11M1.system, []) == []
 
 
+def test_every_shape_follows_the_stabilizer_of_the_support():
+    # one vanishing rule: the support fixes the stabilizer, and its rank
+    # fixes D(Phi)'s rank, so a critical report's symplectic slice has
+    # complex dimension rank + 1 and a non-critical report is regular
+    # exactly when the stabilizer is finite, however small the vanishing
+    # coordinates are; batch and single classification agree on the way
+    rng = np.random.default_rng(42)
+    families = [FAMILY_11M1, FAMILY_21M1] + [
+        build_family(w) for w in generated_weight_matrices(10, seed=38)
+    ]
+    seen = Counter()
+    for fam in families:
+        sys = fam.system
+        points = _points_of_every_support(
+            sys, rng, per_support=1, scales=(1e-12, 3e-10, 1e-9, 3e-9, 1e-8)
+        )
+        batched = classify_points(sys, np.array(points))
+        for z, report in zip(points, batched):
+            rank = report.stabilizer.rank
+            if report.critical_mod_phi:
+                assert report.diagnostics["slice_dim"] == 2 * (rank + 1), (fam.xi.xi, z)
+            else:
+                regular = report.label == "regular"
+                assert regular == (rank == 0), (fam.xi.xi, z, report.label)
+            _assert_same_report(report, classify_point(sys, z))
+            seen[report.critical_mod_phi, rank > 0] += 1
+    assert set(seen) == {(c, r) for c in (True, False) for r in (True, False)}, seen
+
+
 def _orbit_complement_slice(sys: SystemSpec, z) -> tuple[np.ndarray, np.ndarray]:
     """(kernel, slice basis), the slice built the long way round: the
     orthonormal complement, inside ker D(Phi), of the orbit directions
     J D(Phi)^T (the Hamiltonian vector fields of the components of Phi)."""
     dphi = sys.dphi(z)
-    kernel = _kernel_of(dphi, 2 * sys.coords)
+    kernel = _kernel_of(dphi, sys.torus_dim - stabilizer_slice(sys, support_of(z)).rank)
     orbit = standard_complex_structure(sys.coords) @ dphi.T
     q = orbit[:, :0]
     if orbit.size:
@@ -803,8 +834,8 @@ def test_symplectic_slice_matches_orbit_complement_oracle():
     # ker D(Phi) ∩ J ker D(Phi) is the orbit's complement in the kernel:
     # equal dimensions and spans (largest principal angle, through its
     # sine) on the catalog systems, the local models and seeded generated
-    # families, at points of every support (tolerance zeros and a widened
-    # kernel included)
+    # families, at points of every support (tolerance zeros at 1e-12 and
+    # 1e-9 included)
     rng = np.random.default_rng(40)
     systems = _moment_map_systems() + [
         build_family(w).system for w in generated_weight_matrices(12, seed=41)

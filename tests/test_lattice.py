@@ -347,6 +347,16 @@ def test_degree_gt2_examples():
     assert weights == ((1,), (-2,))
     assert degree_gt2_criterion(weights, comps) is True
 
+    # a stabilizer's slice_weights list only the vanishing coordinates; the
+    # criterion adds the slice's zero weights itself, so a free orbit and a
+    # support on which xi restricts to zero have degree below 3
+    free = stabilizer_of(W_11M1, ())
+    assert free.slice_weights == () and free.rank == 0
+    assert degree_gt2_criterion(free.slice_weights, free.component_count) is False
+    circle = stabilizer_of(WeightMatrix(((1, 0, 0), (0, 1, 1))), (0,))
+    assert circle.xi_restricted.xi == (0,) and circle.slice_weights == ((1,),)
+    assert degree_gt2_criterion(circle.slice_weights, circle.component_count) is False
+
 
 def test_degree_gt2_equals_degree_exhaustive():
     # over all nonnegative exponent vectors, criterion == (degree > 2)
