@@ -22,7 +22,6 @@ from .family import (
     build_family,
     classify_family_point,
     eval_polar,
-    family_hessian,
     singularity_conditions,
 )
 from .fiberlab import (
@@ -53,9 +52,7 @@ from .lattice import (
     tall_and_degree,
 )
 from .localmodel import (
-    ModelPoint,
     defining_poly_eval,
-    phi_Y,
     reduced_chart_constant,
     sample_zero_level,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "DefiningVector",
     "FamilySystem",
     "InvariantPolynomial",
-    "ModelPoint",
     "PolarPoint",
     "RationalComplex",
     "SingularityReport",
@@ -87,13 +83,11 @@ __all__ = [
     "degree_gt2_criterion",
     "ephemeral_zero_set_test",
     "eval_polar",
-    "family_hessian",
     "fiber_verdicts",
     "is_critical_mod_phi",
     "lagrange_multiplier",
     "level_components",
     "local_model_system",
-    "phi_Y",
     "properness_check",
     "reduced_chart_constant",
     "reduced_surface",

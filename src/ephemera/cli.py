@@ -39,6 +39,13 @@ from .serial import (
 )
 
 CATALOG_NAMES = ("ex1_zN", "ex2_pq", "family_11m1", "family_21m1")
+# fiber-scan size caps, checked while parsing: a level grid of resolution n
+# holds several float arrays of n^2 cells (a scan at 2048 peaks near 170 MB
+# of memory), and every level and chart adds to the labelling work and to
+# the report
+MAX_RESOLUTION = 2048
+MAX_LEVELS = 1024
+MAX_CHARTS = 1 << 16
 
 
 def _catalog_bytes(name: str) -> bytes:
@@ -181,8 +188,9 @@ def cmd_ephemeral_test(args) -> int:
 
 
 def _beta_axes(text: str) -> list[np.ndarray]:
-    """Comma-separated axes lo:hi:count with finite bounds and count >= 1."""
-    axes = []
+    """Comma-separated axes lo:hi:count with finite bounds, count >= 1 (and
+    lo == hi when count is 1), and at most MAX_CHARTS grid points in all."""
+    parsed = []
     for part in text.split(","):
         try:
             lo, hi, count = part.split(":")
@@ -193,8 +201,12 @@ def _beta_axes(text: str) -> list[np.ndarray]:
             raise argparse.ArgumentTypeError(
                 f"axis {part!r} needs finite bounds and a count of at least 1"
             )
-        axes.append(np.linspace(lo, hi, count))
-    return axes
+        if count == 1 and lo != hi:
+            raise argparse.ArgumentTypeError(f"axis {part!r} has one point, so needs lo == hi")
+        parsed.append((lo, hi, count))
+    if math.prod(count for _, _, count in parsed) > MAX_CHARTS:
+        raise argparse.ArgumentTypeError(f"beta grid {text!r} has more than {MAX_CHARTS} points")
+    return [np.linspace(lo, hi, count) for lo, hi, count in parsed]
 
 
 def cmd_fiber_scan(args) -> int:
@@ -267,6 +279,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _level_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_LEVELS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_LEVELS}, got {text}")
+    return value
+
+
+def _resolution(text: str) -> int:
+    value = int(text)
+    if value > MAX_RESOLUTION:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_RESOLUTION}, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ephemera",
@@ -311,11 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--c-grid",
-        type=_positive_int,
+        type=_level_count,
         default=21,
-        help="levels per chart (levels that coincide are sampled once)",
+        help=f"levels per chart, at most {MAX_LEVELS} (levels that coincide are sampled once)",
     )
-    p.add_argument("--resolution", type=int, default=512)
+    p.add_argument(
+        "--resolution",
+        type=_resolution,
+        default=512,
+        help=f"cells per side of each chart's level grid, {MIN_RESOLUTION} to {MAX_RESOLUTION}"
+        " (lower values are clamped)",
+    )
     p.add_argument("--csv", help="also write the flat CSV table here")
     p.add_argument(
         "--no-synthetic-check",

@@ -129,29 +129,6 @@ def _check_conditions(sys: FamilySystem, w: PolarPoint) -> tuple[list[int], floa
     return others, scale
 
 
-def family_hessian(sys: FamilySystem, w: PolarPoint) -> np.ndarray:
-    """Hessian of g - Phi^mu at a closed-form critical point, polar coords.
-
-    Basis order (theta_j..., r_j...) over the non-vanishing coordinates.
-    The angle block is -xi_j xi_k g(w); the radius block is
-    |xi_j||xi_k| g(w) / (r_j r_k) minus twice the diagonal |xi_j| g(w)/r_j^2;
-    mixed blocks vanish.
-    """
-    others, _ = _check_conditions(sys, w)
-    _, g_w = eval_polar(sys, w)
-    xi = sys.xi.xi
-    m = len(others)
-    out = np.zeros((2 * m, 2 * m))
-    for a, j in enumerate(others):
-        for b, k in enumerate(others):
-            out[a, b] = -xi[j] * xi[k] * g_w
-            rr = abs(xi[j]) * abs(xi[k]) / (w.r[j] * w.r[k]) * g_w
-            if j == k:
-                rr -= 2.0 * abs(xi[j]) / w.r[j] ** 2 * g_w
-            out[m + a, m + b] = rr
-    return out
-
-
 def classify_family_point(sys: FamilySystem, w: PolarPoint) -> str:
     """Closed-form label, same vocabulary as the generic classifier."""
     support = w.support

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,12 @@ CRITICAL_LEVEL_OFFSET = 1e-3  # nudge levels off critical values by this times r
 
 @dataclass(frozen=True)
 class ReducedSurfaceChart:
-    """Segment-times-circle chart of one reduced space."""
+    """Segment-times-circle chart of one reduced space.
+
+    profile_terms holds, uncompared, the float (start, rate, power) of each
+    moving coordinate, s_j(t) = start + rate t and R = prod s_j^power,
+    converted from the exact endpoints once per chart.
+    """
 
     beta: tuple[float, ...]
     xi: tuple[int, ...]
@@ -37,18 +43,24 @@ class ReducedSurfaceChart:
     support_start: tuple[int, ...]
     support_end: tuple[int, ...]
     degenerate: bool  # single-point reduced space
+    profile_terms: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        terms = []
+        for e, a, b in zip(self.xi, self.s_start, self.s_end):
+            if e:
+                start = float(a)
+                terms.append((start, float(b) - start, abs(e) / 2.0))
+        object.__setattr__(self, "profile_terms", tuple(terms))
 
     def radius_profile(self, t) -> np.ndarray:
         """R(t) = prod s_j(t)^(|xi_j|/2) over the moving coordinates."""
         t = np.asarray(t, dtype=float)
-        s0 = np.array([float(x) for x in self.s_start])
-        s1 = np.array([float(x) for x in self.s_end])
         out = np.ones_like(t, dtype=float)
-        for j, e in enumerate(self.xi):
-            if e == 0:
-                continue
-            sj = np.clip(s0[j] + (s1[j] - s0[j]) * t, 0.0, None)
-            out = out * sj ** (abs(e) / 2.0)
+        for start, rate, power in self.profile_terms:
+            out = out * np.clip(start + rate * t, 0.0, None) ** power
         return out
 
     def gbar(self, t, psi) -> np.ndarray:
@@ -60,22 +72,52 @@ class ReducedSurfaceChart:
         log R = sum (|xi_j|/2) log s_j(t) sums logarithms of affine functions
         positive on (0, 1), so it is strictly concave, and its doubled
         derivative L(t) = sum |xi_j| (s1_j - s0_j) / s_j(t) falls from +inf
-        at the collapsed start to -inf at the collapsed end.  Bisection on
-        the sign of L stops when the midpoint stops moving.  Each sign is
-        decided in integers: over a common denominator den, A_j = den s0_j,
+        at the collapsed start to -inf at the collapsed end.  The root is
+        pinned between the two adjacent floats lo < hi where the sign of L
+        changes, and 0.5 * (lo + hi) is returned (a float where L is
+        exactly 0 is returned as it is).  A float Newton iteration on L,
+        kept inside a shrinking bracket, only proposes where to look; the
+        signs that decide are exact, taken at that float and at floats
+        stepped away from it by a doubling number of ulps until the sign
+        turns, then bisected down to adjacent floats.  Each sign is decided
+        in integers: over a common denominator den, A_j = den s0_j,
         B_j = den (s1_j - s0_j); at t = p/q, S_j = A_j q + B_j p > 0 and
         L(t) = q sum |xi_j| B_j / S_j has the sign of sum |xi_j| B_j prod_{i!=j} S_i.
         """
-        moving = [(abs(e), a, b - a) for e, a, b in zip(self.xi, self.s_start, self.s_end) if e]
+        moving = [(abs(e), a, b) for e, a, b in zip(self.xi, self.s_start, self.s_end) if e]
         den = math.lcm(*(x.denominator for _, a, b in moving for x in (a, b)))
-        terms = [(k, int(a * den), int(b * den)) for k, a, b in moving]
+        terms = []
+        for k, a, b in moving:
+            start = a.numerator * (den // a.denominator)
+            terms.append((k, start, b.numerator * (den // b.denominator) - start))
 
         def slope(t: float) -> int:
             p, q = t.as_integer_ratio()
             s = [a * q + b * p for _, a, b in terms]
             return sum(k * b * math.prod(s[:j] + s[j + 1:]) for j, (k, _, b) in enumerate(terms))
 
-        lo, hi, mid = 0.0, 1.0, 0.5
+        guess = _log_slope_root_guess(self.profile_terms)
+        value = slope(guess)
+        if value == 0:
+            return [(guess, True)]
+        # step towards the root, from one ulp and doubling, until the sign
+        # turns; the ends need no test: L is +inf at 0 and -inf at 1
+        rising = value > 0
+        inner, end = guess, 1.0 if rising else 0.0
+        step = math.nextafter(guess, end) - guess
+        while True:
+            probe = inner + step
+            if not 0.0 < probe < 1.0:
+                probe = end
+                break
+            value = slope(probe)
+            if value == 0:
+                return [(probe, True)]
+            if (value > 0) != rising:
+                break
+            inner, step = probe, 2.0 * step
+        lo, hi = (inner, probe) if rising else (probe, inner)
+        mid = 0.5 * (lo + hi)
         while mid not in (lo, hi):
             value = slope(mid)
             if value == 0:
@@ -83,6 +125,50 @@ class ReducedSurfaceChart:
             lo, hi = (mid, hi) if value > 0 else (lo, mid)
             mid = 0.5 * (lo + hi)
         return [(mid, True)]
+
+
+def _log_slope_root_guess(profile_terms) -> float:
+    """A float in (0, 1) near the root of L(t)/2 = sum p_j r_j / (a_j + r_j t),
+    for the (start a_j, rate r_j, power p_j) of the chart's profile_terms.
+
+    Newton steps, replaced by the bracket's midpoint whenever they leave the
+    bracket that the float signs of L keep; it stops when a step no longer
+    moves, or when rounding makes some s_j(t) vanish near an end.
+    """
+    lo, hi, t = 0.0, 1.0, 0.5
+    for _ in range(64):
+        value = derivative = 0.0
+        for start, rate, power in profile_terms:
+            s = start + rate * t
+            if s <= 0.0:
+                return t
+            ratio = rate / s
+            value += power * ratio
+            derivative -= power * ratio * ratio
+        if value > 0.0:
+            lo = t
+        elif value < 0.0:
+            hi = t
+        else:
+            return t
+        step = t - value / derivative
+        if step == t:
+            break
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if step in (lo, hi):
+                break
+        t = step
+    return t
+
+
+def _ratio(b) -> tuple[int, int]:
+    """b as numerator and denominator: a float by its shortest decimal string
+    (the value as written), any other rational as it is."""
+    if isinstance(b, float):
+        return Decimal(str(b)).as_integer_ratio()
+    b = Fraction(b)
+    return b.numerator, b.denominator
 
 
 def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
@@ -93,41 +179,49 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
     for the weights' integer right inverse R.  Properness gives xi both
     signs; c_min is where a coordinate with xi_j > 0 reaches 0 and
     c_max where one with xi_j < 0 does, so each endpoint support holds a
-    nonzero exponent and both end circles collapse to points.
+    nonzero exponent and both end circles collapse to points.  The solve
+    runs in integers: over a common denominator den of beta,
+    star = den s* = 2 R (den beta), each bound is a ratio of integers
+    compared by cross-multiplication, and the endpoints become Fractions
+    at the end.
     """
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")
-    beta = [Fraction(str(b)) if isinstance(b, float) else Fraction(b) for b in beta]
+    beta = [_ratio(b) for b in beta]
     d, n = sys.weights.torus_dim, sys.n
     if len(beta) != d:
         raise ValueError(f"target must have {d} components")
-    s_star = [2 * sum(x * b for x, b in zip(row, beta)) for row in sys.weights.right_inverse]
+    den = math.lcm(*(q for _, q in beta))
+    scaled = [p * (den // q) for p, q in beta]
+    star = [2 * sum(x * b for x, b in zip(row, scaled)) for row in sys.weights.right_inverse]
     xi = sys.xi.xi
-    c_min, c_max = None, None
+    # c_min = lo_num / (den lo_den) and c_max = hi_num / (den hi_den), lo_den, hi_den > 0
+    lo_num = lo_den = hi_num = hi_den = None
     for j in range(n):
         if xi[j] > 0:
-            bound = -s_star[j] / xi[j]
-            c_min = bound if c_min is None else max(c_min, bound)
+            if lo_num is None or -star[j] * lo_den > lo_num * xi[j]:
+                lo_num, lo_den = -star[j], xi[j]
         elif xi[j] < 0:
-            bound = s_star[j] / (-xi[j])
-            c_max = bound if c_max is None else min(c_max, bound)
-        elif s_star[j] < 0:
+            if hi_num is None or star[j] * hi_den < hi_num * -xi[j]:
+                hi_num, hi_den = star[j], -xi[j]
+        elif star[j] < 0:
             raise EmptyFiber(f"coordinate {j} is forced negative")
-    assert c_min is not None and c_max is not None  # proper => mixed signs
-    if c_min > c_max:
+    assert lo_num is not None and hi_num is not None  # proper => mixed signs
+    gap = hi_num * lo_den - lo_num * hi_den  # sign of c_max - c_min
+    if gap < 0:
+        c_min, c_max = Fraction(lo_num, den * lo_den), Fraction(hi_num, den * hi_den)
         raise EmptyFiber(f"segment empty: {float(c_min):.3g} > {float(c_max):.3g}")
-    s0 = tuple(s_star[j] + c_min * xi[j] for j in range(n))
-    s1 = tuple(s_star[j] + c_max * xi[j] for j in range(n))
-    supp0 = tuple(j for j in range(n) if s0[j] == 0)
-    supp1 = tuple(j for j in range(n) if s1[j] == 0)
+    # s_j at c_min and c_max, times den lo_den and den hi_den
+    s0 = [star[j] * lo_den + lo_num * xi[j] for j in range(n)]
+    s1 = [star[j] * hi_den + hi_num * xi[j] for j in range(n)]
     return ReducedSurfaceChart(
-        beta=tuple(map(float, beta)),
+        beta=tuple(p / q for p, q in beta),
         xi=xi,
-        s_start=s0,
-        s_end=s1,
-        support_start=supp0,
-        support_end=supp1,
-        degenerate=c_min == c_max,
+        s_start=tuple(Fraction(x, den * lo_den) for x in s0),
+        s_end=tuple(Fraction(x, den * hi_den) for x in s1),
+        support_start=tuple(j for j in range(n) if s0[j] == 0),
+        support_end=tuple(j for j in range(n) if s1[j] == 0),
+        degenerate=gap == 0,
     )
 
 

@@ -1,4 +1,4 @@
-"""Local models of tall orbits: moment maps, defining monomial, reduced chart.
+"""Local models of tall orbits: defining monomial, reduced chart, zero level.
 
 A model is presented by an exponent vector xi on C^(h+1); the stabilizer it
 encodes is the kernel of the character z -> prod z_j^xi_j, whose identity
@@ -11,28 +11,13 @@ through the standard Euclidean pairing in the chosen basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import SystemSpec
 from .errors import NotTall
 from .lattice import DefiningVector
 
 TAU_RANGE = (1e-3, 1e3)  # scale window for zero-level sampling; avoids overflow in z^xi
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """Representative [1, alpha, z] of a model point."""
-
-    alpha: tuple[float, ...]
-    z: tuple[complex, ...]
-
-
-def phi_Y(model: SystemSpec, pt: ModelPoint) -> np.ndarray:
-    """Moment map alpha + phi_H(z) of a slice system, in the fixed splitting."""
-    return np.concatenate([np.asarray(pt.alpha, dtype=float), model.phi(pt.z)])
 
 
 def defining_poly_eval(xi: DefiningVector, z):

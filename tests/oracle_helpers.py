@@ -3,11 +3,13 @@ seeded test points and polynomials, and the writer side of the coefficient
 and term round trips."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ephemera.family import FamilySystem, PolarPoint, _check_conditions, family_hessian
+from ephemera.classifier import SystemSpec
+from ephemera.family import FamilySystem, PolarPoint, _check_conditions, eval_polar
 from ephemera.jets import (
     ChartFunction,
     InvariantPolynomial,
@@ -83,6 +85,68 @@ def pullback_rotation(p: InvariantPolynomial, angles) -> InvariantPolynomial:
         phase = np.exp(1j * float(np.dot(np.subtract(a, b), angles)))
         terms[(a, b)] = c_complex(c) * phase
     return InvariantPolynomial(terms=terms, xi=p.xi)
+
+
+@dataclass(frozen=True)
+class ModelPoint:
+    """Representative [1, alpha, z] of a model point."""
+
+    alpha: tuple[float, ...]
+    z: tuple[complex, ...]
+
+
+def phi_Y(model: SystemSpec, pt: ModelPoint) -> np.ndarray:
+    """Moment map alpha + phi_H(z) of a slice system, in the fixed splitting."""
+    return np.concatenate([np.asarray(pt.alpha, dtype=float), model.phi(pt.z)])
+
+
+def family_hessian(sys: FamilySystem, w: PolarPoint) -> np.ndarray:
+    """Hessian of g - Phi^mu at a closed-form critical point, polar coords.
+
+    Basis order (theta_j..., r_j...) over the non-vanishing coordinates.
+    The angle block is -xi_j xi_k g(w); the radius block is
+    |xi_j||xi_k| g(w) / (r_j r_k) minus twice the diagonal |xi_j| g(w)/r_j^2;
+    mixed blocks vanish.
+    """
+    others, _ = _check_conditions(sys, w)
+    _, g_w = eval_polar(sys, w)
+    xi = sys.xi.xi
+    m = len(others)
+    out = np.zeros((2 * m, 2 * m))
+    for a, j in enumerate(others):
+        for b, k in enumerate(others):
+            out[a, b] = -xi[j] * xi[k] * g_w
+            rr = abs(xi[j]) * abs(xi[k]) / (w.r[j] * w.r[k]) * g_w
+            if j == k:
+                rr -= 2.0 * abs(xi[j]) / w.r[j] ** 2 * g_w
+            out[m + a, m + b] = rr
+    return out
+
+
+def bisection_profile_root(chart) -> float:
+    """The profile maximum of a family chart by plain bisection.
+
+    Bisects [0, 1] on the exact sign of L(t) = sum |xi_j| (s1_j - s0_j) / s_j(t)
+    until the midpoint stops moving, one integer sign test per step (about
+    53); ReducedSurfaceChart.profile_critical_points must return this float.
+    """
+    moving = [(abs(e), a, b - a) for e, a, b in zip(chart.xi, chart.s_start, chart.s_end) if e]
+    den = math.lcm(*(x.denominator for _, a, b in moving for x in (a, b)))
+    terms = [(k, int(a * den), int(b * den)) for k, a, b in moving]
+
+    def slope(t: float) -> int:
+        p, q = t.as_integer_ratio()
+        s = [a * q + b * p for _, a, b in terms]
+        return sum(k * b * math.prod(s[:j] + s[j + 1:]) for j, (k, _, b) in enumerate(terms))
+
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while mid not in (lo, hi):
+        value = slope(mid)
+        if value == 0:
+            break
+        lo, hi = (mid, hi) if value > 0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def hessian_profile_values(sys: FamilySystem, w: PolarPoint) -> tuple[float, float]:

@@ -43,6 +43,7 @@ from ephemera.localmodel import (
     sample_zero_level,
 )
 from oracle_helpers import (
+    family_hessian,
     hessian_profile_values,
     pullback_rotation,
     radius_power,
@@ -235,8 +236,6 @@ def test_criterion_6_derivative_checks():
     # second order at closed-form critical points
     rng = np.random.default_rng(3)
     for fam in (FAMILY_11M1, FAMILY_21M1):
-        from ephemera.family import family_hessian
-
         for _ in range(10):
             w = support_pattern_point(fam, (), rng, critical=True)
             hess = family_hessian(fam, w)

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 import ephemera
 import ephemera.classifier
 from ephemera.classifier import local_model_system
-from ephemera.cli import CATALOG_NAMES, main
+from ephemera.cli import (
+    CATALOG_NAMES,
+    MAX_CHARTS,
+    MAX_LEVELS,
+    MAX_RESOLUTION,
+    build_parser,
+    main,
+)
 from ephemera.errors import ParseError
 from ephemera.family import classify_family_point
 from ephemera.jets import InvariantPolynomial, RationalComplex
@@ -461,6 +468,40 @@ def test_cli_rejects_removed_and_invalid_options(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--resolution", str(MAX_RESOLUTION + 1)], f"at most {MAX_RESOLUTION}"),
+        (["--resolution", "100000"], f"at most {MAX_RESOLUTION}"),
+        (["--c-grid", str(MAX_LEVELS + 1)], f"at most {MAX_LEVELS}"),
+        ([f"--beta-grid=0:1:{MAX_CHARTS + 1},1:1:1"], f"more than {MAX_CHARTS} points"),
+        (["--beta-grid=0:1:257,0:1:256"], f"more than {MAX_CHARTS} points"),
+        (["--beta-grid=0:1:1000000000000,0:1:1000000000000"], f"more than {MAX_CHARTS} points"),
+        (["--beta-grid=1:2:1,1:1:1"], "needs lo == hi"),
+    ],
+)
+def test_cli_fiber_scan_refuses_sizes_over_the_caps(argv, message, capsys):
+    # refused while parsing, before any grid is allocated; argv that would
+    # pass the caps are never run here
+    with pytest.raises(SystemExit) as exc:
+        main(["fiber-scan", "family_11m1", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+
+
+def test_cli_fiber_scan_accepts_sizes_at_the_caps():
+    # parsing only: a scan this size is left to the user
+    args = build_parser().parse_args(
+        ["fiber-scan", "family_11m1", "--resolution", str(MAX_RESOLUTION),
+         "--c-grid", str(MAX_LEVELS), "--beta-grid=0:1:256,0:1:256"]
+    )
+    assert (args.resolution, args.c_grid) == (MAX_RESOLUTION, MAX_LEVELS)
+    assert [len(axis) for axis in args.beta_grid] == [256, 256]
+    args = build_parser().parse_args(["fiber-scan", "family_11m1", "--beta-grid=1.5:1.5:1,0:1:3"])
+    assert [axis.tolist() for axis in args.beta_grid] == [[1.5], [0.0, 0.5, 1.0]]
 
 
 def _local_model_spec(g_terms) -> str:

@@ -12,12 +12,11 @@ from ephemera.family import (
     build_family,
     classify_family_point,
     eval_polar,
-    family_hessian,
     singularity_conditions,
 )
 from ephemera.jets import check_invariance
 from ephemera.lattice import WeightMatrix
-from oracle_helpers import hessian_profile_values, support_pattern_point
+from oracle_helpers import family_hessian, hessian_profile_values, support_pattern_point
 
 FAM = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAM_CUBIC = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))

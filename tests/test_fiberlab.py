@@ -26,6 +26,7 @@ from ephemera.fiberlab import (
     reduced_surface,
 )
 from ephemera.lattice import WeightMatrix
+from oracle_helpers import bisection_profile_root
 
 FAM = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAM_CUBIC = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
@@ -60,6 +61,10 @@ def test_segment_outside_image():
 def test_boundary_point_chart():
     chart = reduced_surface(FAM, (0, 0))
     assert chart.degenerate
+    # a segment of length 1e-30 is still a segment
+    chart = reduced_surface(FAM, (1, Fraction(1, 2 * 10**30)))
+    assert not chart.degenerate
+    assert chart.s_start[2] - chart.s_end[2] == Fraction(1, 10**30)
 
 
 def test_not_proper_rejected():
@@ -140,10 +145,11 @@ def _exact_bisection(chart) -> Fraction:
 
 
 @st.composite
-def _proper_family_charts(draw):
-    """A generated proper family (entries in [-3, 3]) and ok charts over
-    targets (1/2) W s for positive rational squared radii s."""
-    n = draw(st.sampled_from((3, 4, 2)))
+def _proper_family_charts(draw, sizes=(3, 4, 2)):
+    """A generated proper family on C^n, n from sizes (entries in [-3, 3]),
+    and ok charts over targets (1/2) W s for positive rational squared
+    radii s."""
+    n = draw(st.sampled_from(sizes))
     row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     entries = draw(st.lists(row, min_size=n - 1, max_size=n - 1))
     try:
@@ -176,6 +182,102 @@ def test_family_chart_has_one_exact_interior_maximum(charts):
             chart, Fraction(above)
         )
         assert critical_scan(chart).index_counts() == (1, 0, 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_proper_family_charts(sizes=(3, 4, 5)))
+def test_profile_root_is_the_bisection_float_on_generated_families(charts):
+    for chart in charts:
+        (t, _), = chart.profile_critical_points()
+        assert t == bisection_profile_root(chart), chart
+
+
+def _charts_over_positive_radii(fam, seed, count):
+    """Ok charts of fam over targets (1/2) W s, s drawn from (1/16) [1, 256]^n."""
+    rng = np.random.default_rng(seed)
+    charts = []
+    for _ in range(count):
+        s = [Fraction(int(x), 16) for x in rng.integers(1, 257, size=fam.n)]
+        beta = [sum(w * x for w, x in zip(row, s)) / 2 for row in fam.weights.entries]
+        charts.append(reduced_surface(fam, beta))
+    return charts
+
+
+# xi (1, -1), (1, -3), (3, -1) and (1, -1, 0): two moving coordinates, so
+# L = k0 / t - k1 / (1 - t) is exactly 0 at the dyadic t = k0 / (k0 + k1);
+# xi (1, 1, -2) on a target where both positive coordinates collapse at the
+# start: L = 2 / t - 2 / (1 - t), exactly 0 at t = 1/2
+@pytest.mark.parametrize(
+    "weights, beta, root",
+    [(((1, 1),), (1,), 0.5), (((3, 1),), (Fraction(7, 3),), 0.25),
+     (((1, 3),), (2.5,), 0.75), (((1, 1, 0), (0, 0, 1)), (1, 2), 0.5),
+     (((1, 1, 1), (1, -1, 0)), (3, 0), 0.5)],
+)
+def test_profile_root_where_the_slope_is_exactly_zero(weights, beta, root):
+    chart = reduced_surface(build_family(WeightMatrix(weights)), beta)
+    (t, _), = chart.profile_critical_points()
+    assert t == root == bisection_profile_root(chart)
+    assert _exact_log_slope(chart, Fraction(t)) == 0
+
+
+def test_profile_root_does_not_depend_on_the_guess(monkeypatch):
+    # the float guess only says where the exact sign tests start: from a
+    # guess one ulp off, far off or next to an end the same float comes out
+    import ephemera.fiberlab
+
+    charts = [reduced_surface(build_family(WeightMatrix(((1, 1),))), (1,)),
+              reduced_surface(build_family(WeightMatrix(((3, 1),))), (2,))]
+    charts += _charts_over_positive_radii(FAM, 37, 3) + _charts_over_positive_radii(FAM_CUBIC, 41, 3)
+    for chart in charts:
+        root = bisection_profile_root(chart)
+        for guess in (root, math.nextafter(root, 0.0), math.nextafter(root, 1.0),
+                      root * (1 - 1e-12), root * (1 + 1e-9), 0.5 * root, 0.5 + 0.5 * root,
+                      5e-324, 1e-300, math.nextafter(1.0, 0.0)):
+            monkeypatch.setattr(ephemera.fiberlab, "_log_slope_root_guess", lambda _: guess)
+            assert chart.profile_critical_points() == [(root, True)], (chart, guess)
+
+
+N_LARGE = 2 * 10**9 + 1
+
+
+@pytest.mark.parametrize(
+    "weights, beta, end",
+    [(((N_LARGE, 1),), (1,), 0.0), (((1, N_LARGE),), (1,), 1.0),
+     (((N_LARGE, 1, 0), (0, 1, 1)), (1, 5), 0.0),
+     (((N_LARGE, 1, 0), (0, 1, 1)), (Fraction(1, 3), 7), 0.0),
+     (((N_LARGE, 1, 1), (0, 1, -1)), (10**10, 1), 0.0),
+     (((1, 0, N_LARGE), (0, 1, 1)), (2, 1), 1.0),
+     (((1, 0, N_LARGE), (0, 1, 1)), (Fraction(1, 3), 7), 1.0)],
+)
+def test_profile_root_next_to_an_end(weights, beta, end):
+    chart = reduced_surface(build_family(WeightMatrix(weights)), beta)
+    (t, _), = chart.profile_critical_points()
+    assert 0.0 < abs(t - end) < 1e-9
+    assert t == bisection_profile_root(chart)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [((1, 1),), ((1, 2),), ((5, 3),), ((1, 1, 0), (0, 0, 1)), ((2, 1, 0), (0, 0, 1)),
+     ((1, 0, 0), (0, 7, 4)), ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))],
+)
+def test_profile_root_with_two_moving_coordinates(weights):
+    fam = build_family(WeightMatrix(weights))
+    assert fam.proper and sum(e != 0 for e in fam.xi.xi) == 2
+    for chart in _charts_over_positive_radii(fam, 29, 20):
+        (t, _), = chart.profile_critical_points()
+        assert t == bisection_profile_root(chart), chart
+
+
+def test_profile_root_on_the_degree_193_family():
+    fam = build_family(WeightMatrix(
+        ((-3, 0, -2, -2, -2), (1, -2, 1, 2, 1), (1, 1, -2, 3, -3), (0, 0, 2, -3, -3))))
+    assert fam.xi.xi == (130, -76, -117, -87, 9)
+    charts = _charts_over_positive_radii(fam, 31, 60)
+    for chart in charts:
+        (t, _), = chart.profile_critical_points()
+        assert t == bisection_profile_root(chart), chart
+    assert len({chart.support_start + chart.support_end for chart in charts}) > 1
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -431,7 +533,7 @@ def test_connectivity_report_statuses_on_wide_grid():
     assert statuses == {"ok": 100, "empty": 104, "point": 21}
 
 
-@pytest.mark.parametrize("axis", ["1:2:1", "0.8:2.4:4"])
+@pytest.mark.parametrize("axis", ["1:1:1", "0.8:2.4:4"])
 def test_fiber_scan_takes_one_smith_normal_form_per_family(axis, tmp_path, monkeypatch):
     # the segment solve reads the weight matrix's right inverse, so loading
     # the family is the one normal form of a scan, whatever its chart count

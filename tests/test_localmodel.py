@@ -7,12 +7,11 @@ from ephemera.classifier import local_model_system
 from ephemera.errors import NotTall
 from ephemera.lattice import DefiningVector, slice_weights_from_xi
 from ephemera.localmodel import (
-    ModelPoint,
     defining_poly_eval,
-    phi_Y,
     reduced_chart_constant,
     sample_zero_level,
 )
+from oracle_helpers import ModelPoint, phi_Y
 
 CATALOG_XI = [(2,), (1, 1), (2, 1), (3, 1, 2)]
 
