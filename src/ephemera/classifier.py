@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NotCriticalModPhi, NotInvariant, NotTall, PrerequisiteVanishingFailed
 from .jets import (
+    ChartJet,
     InvariantPolynomial,
     c_complex,
     chart_jet,
@@ -332,18 +333,6 @@ def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
     ).without_constant()
 
 
-def ephemerality(sys: SystemSpec, point, support) -> tuple:
-    """(slice data, chart jet, ephemeral) at a point of tall support with
-    degree N >= 2; the jet is None, and the point not ephemeral, when the
-    slice data do not vanish below degree N modulo Phi."""
-    p_slice = slice_data(sys, point, support)
-    try:
-        jet = chart_jet(p_slice)
-    except PrerequisiteVanishingFailed:
-        return p_slice, None, False
-    return p_slice, jet, ephemeral_zero_set_test(jet)
-
-
 def _kernel_of(dphi: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal kernel (columns) of D(Phi) listed by rows, (..., 2k, 2k - rank).
 
@@ -553,6 +542,10 @@ class SingularityReport:
     blocks: list[BlockData]
     label: str
     diagnostics: dict = field(default_factory=dict)
+    # chart jet and ephemeral verdict of a tall critical point of degree N >= 2
+    # (None and False elsewhere); not serialised, ephemeral-test reports them
+    jet: ChartJet | None = None
+    ephemeral: bool = False
 
 
 def classify_point(sys: SystemSpec, point, tolerance_scale: float = 1.0) -> SingularityReport:
@@ -569,8 +562,11 @@ def classify_points(
     and runs D(Phi), its kernel, grad g, the criticality rule, the
     multipliers and the slice eigenproblem as stacked calls; the support's
     stabilizer fixes the rank of D(Phi), so every kernel of a group has one
-    width.  The eigenvalue pairing and the exact jet path run per point.
-    tolerance_scale multiplies the criticality and multiplier thresholds.
+    width.  These numbers are taken on the stratum, with the group's vanishing
+    coordinates set to 0 (exact zeros, signed ones included, stay as they
+    are); the reports list the points as given.  The eigenvalue pairing and
+    the exact jet path run per point.  tolerance_scale multiplies the
+    criticality and multiplier thresholds.
     """
     k = sys.coords
     z_all = np.asarray(points, dtype=complex)
@@ -582,7 +578,8 @@ def classify_points(
     for mask, rows in _groups(_vanishing(z_all, SUPPORT_TOL)):
         support = tuple(np.flatnonzero(mask).tolist())
         stab = stabilizer_slice(sys, support)
-        z = z_all[rows]
+        listed = z_all[rows]
+        z = np.where(mask & (listed != 0), 0, listed)
         dphi = sys.dphi(z)
         kernel = _kernel_of(dphi, sys.torus_dim - stab.rank)
         grad = sys.grad_g(z)
@@ -593,18 +590,23 @@ def classify_points(
             blocks = slice_hessian_blocks(sys, z[crit], mu, kernel[crit], stab)
             critical_data = {i: (m, *b) for i, m, b in zip(crit.tolist(), mu, blocks)}
         for i, row in enumerate(rows.tolist()):
-            reports[row] = _report(sys, z[i], support, stab, critical_data.get(i))
+            reports[row] = _report(sys, listed[i], support, stab, critical_data.get(i))
     return reports
 
 
 def _report(sys, z, support, stab, critical_data) -> SingularityReport:
     """One point's label from its batched data; critical_data is (mu, blocks,
-    degenerate, block diagnostics), or None when g is not critical mod Phi."""
+    degenerate, block diagnostics), or None when g is not critical mod Phi.
+
+    A tall critical point of degree N >= 2 also gets the chart jet of its
+    slice data and the ephemeral verdict; every tall critical point is then
+    labelled by one ladder, which reads the verdict (False below degree 2),
+    degeneracy and the block kinds.
+    """
     xi_r = stab.xi_restricted
-    tall = xi_r.tall
     n_support = xi_r.degree_N
     diagnostics: dict = {"support_degree": n_support}
-    mu = None
+    mu, jet, ephemeral = None, None, False
     blocks: list[BlockData] = []
     if critical_data is None:
         # g is not critical modulo Phi, so dF = (D(Phi), dg) has full rank
@@ -614,53 +616,50 @@ def _report(sys, z, support, stab, critical_data) -> SingularityReport:
         mu, blocks, degenerate, block_diag = critical_data
         diagnostics.update(block_diag)
         kinds = {b.kind for b in blocks}
-        if not tall:
+        if not xi_r.tall:
             label = "unclassified-degenerate" if degenerate else "short-elliptic"
-        elif n_support >= 2:
-            p_slice, jet, ephemeral = ephemerality(sys, z, support)
-            if jet is not None:
-                diagnostics["chart_jet"] = (jet.A, jet.B, jet.D)
-            diagnostics["vanishes_below_degree"] = jet is not None
-            if n_support > 2:
-                # exact witness: all slice terms have degree >= n_support > 2
-                diagnostics["degree2_taylor_vanishes"] = all(
-                    sum(a) + sum(b) > 2 for a, b in p_slice.terms
-                )
-            if ephemeral and degenerate:
-                label = "degenerate-ephemeral"
-            elif ephemeral:
-                if "focus-focus" in kinds:
-                    label = "nondegenerate-ephemeral(focus-focus)"
-                elif "hyperbolic" in kinds:
-                    label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
-                elif stab.component_count > 1:
-                    label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
-                else:
-                    label = "nondegenerate-ephemeral(focus-focus)"
-            elif degenerate:
-                label = "unclassified-degenerate"
-            elif kinds <= {"elliptic"}:
-                label = "purely-elliptic"
-            elif "hyperbolic" in kinds and stab.component_count == 1:
-                label = "hyperbolic-connected"
-            elif "focus-focus" in kinds:
-                label = "nondegenerate-ephemeral(focus-focus)"
-            else:
-                label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
         else:
-            label = "unclassified-degenerate" if degenerate else "purely-elliptic"
+            if n_support >= 2:
+                p_slice = slice_data(sys, z, support)
+                try:
+                    jet = chart_jet(p_slice)
+                except PrerequisiteVanishingFailed:
+                    pass  # no jet: the slice data do not vanish below degree N
+                else:
+                    ephemeral = ephemeral_zero_set_test(jet)
+                    diagnostics["chart_jet"] = (jet.A, jet.B, jet.D)
+                diagnostics["vanishes_below_degree"] = jet is not None
+                if n_support > 2:
+                    # exact witness: all slice terms have degree >= n_support > 2
+                    diagnostics["degree2_taylor_vanishes"] = all(
+                        sum(a) + sum(b) > 2 for a, b in p_slice.terms
+                    )
+            if degenerate:
+                label = "degenerate-ephemeral" if ephemeral else "unclassified-degenerate"
+            elif not ephemeral and kinds <= {"elliptic"}:
+                label = "purely-elliptic"
+            elif not ephemeral and "hyperbolic" in kinds and stab.component_count == 1:
+                label = "hyperbolic-connected"
+            elif "focus-focus" not in kinds and (
+                "hyperbolic" in kinds or stab.component_count > 1
+            ):
+                label = "nondegenerate-ephemeral(hyperbolic-disconnected)"
+            else:
+                label = "nondegenerate-ephemeral(focus-focus)"
 
     return SingularityReport(
         point=tuple(map(complex, z)),
         support=support,
         stabilizer=stab,
-        tall=tall,
+        tall=xi_r.tall,
         degree_N=max(n_support, 1),
         critical_mod_phi=critical_data is not None,
         multiplier=None if mu is None else tuple(map(float, mu)),
         blocks=blocks,
         label=label,
         diagnostics=diagnostics,
+        jet=jet,
+        ephemeral=ephemeral,
     )
 
 

@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .classifier import SystemSpec, classify_points, ephemerality, fiber_verdicts
+from .classifier import classify_points, fiber_verdicts
 from .errors import EphemeraError, ParseError, UnknownName
 from .family import FamilySystem, PolarPoint
 from .fiberlab import MIN_RESOLUTION, connectivity_report
@@ -111,13 +111,14 @@ def _bundle(args, input_hash: str, label: str, started: float) -> dict:
     }
 
 
-def _system_of(obj) -> SystemSpec:
-    return obj.system if isinstance(obj, FamilySystem) else obj
-
-
-def _points_for(system, listed, args):
+def _classified(args, tolerance_scale: float = 1.0):
+    """(system, points, reports, sha256, label): the spec's listed points (or
+    the one at --point-index, or the origin when none is listed), each with
+    its classify_points report."""
+    system, listed, digest, label = _load(args.spec)
+    spec = system.system if isinstance(system, FamilySystem) else system
     points = list(listed)
-    if getattr(args, "point_index", None) is not None:
+    if args.point_index is not None:
         if not (0 <= args.point_index < len(points)):
             raise ParseError(
                 f"point index {args.point_index} out of range (have {len(points)})"
@@ -125,19 +126,14 @@ def _points_for(system, listed, args):
         points = [points[args.point_index]]
     if not points:
         # default probe: the origin of the slice or of the ambient space
-        spec = _system_of(system)
         points = [PolarPoint(r=(0.0,) * spec.coords, theta=(0.0,) * spec.coords)]
-    return points
+    reports = classify_points(spec, [w.to_complex() for w in points], tolerance_scale)
+    return system, points, reports, digest, label
 
 
 def cmd_classify(args) -> int:
     started = time.perf_counter()
-    system, listed, digest, label = _load(args.spec)
-    points = _points_for(system, listed, args)
-    spec = _system_of(system)
-    reports = classify_points(
-        spec, [w.to_complex() for w in points], tolerance_scale=args.tolerance_scale
-    )
+    system, _, reports, digest, label = _classified(args, args.tolerance_scale)
     bundle = _bundle(args, digest, label, started)
     bundle["reports"] = [report_to_json(r) for r in reports]
     bundle["fiber_verdict"] = None
@@ -153,35 +149,31 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _ephemeral_entry(w: PolarPoint, report) -> dict:
+    """One ephemeral-test entry, read off the point's classify report: the
+    chart jet and verdict where classify tested them (tall supports of
+    degree N >= 2), else why the test does not apply."""
+    diagnostics = report.diagnostics
+    entry: dict = {"point": point_to_json(w), "support_degree": diagnostics["support_degree"]}
+    if "vanishes_below_degree" not in diagnostics:
+        entry["ephemeral"] = False
+        entry["reason"] = "support degree below 2" if report.tall else "support not tall"
+        return entry
+    jet = report.jet
+    entry["vanishes_below_degree"] = jet is not None
+    if jet is not None:
+        entry["jet"] = {"A": jet.A, "B": jet.B, "D": jet.D, "degree": jet.degree}
+    entry["ephemeral"] = report.ephemeral
+    if jet is not None:
+        entry["marginal"] = jet.is_marginal()
+    return entry
+
+
 def cmd_ephemeral_test(args) -> int:
     started = time.perf_counter()
-    system, listed, digest, label = _load(args.spec)
-    points = _points_for(system, listed, args)
-    spec = _system_of(system)
-    results = []
-    for w in points:
-        entry: dict = {"point": point_to_json(w)}
-        xi_r = spec.xi.restrict(w.support)
-        degree = xi_r.degree_N
-        entry["support_degree"] = degree
-        if not xi_r.tall:
-            entry["ephemeral"] = False
-            entry["reason"] = "support not tall"
-        elif degree < 2:
-            entry["ephemeral"] = False
-            entry["reason"] = "support degree below 2"
-        else:
-            _, jet, ephemeral = ephemerality(spec, w.to_complex(), w.support)
-            entry["vanishes_below_degree"] = jet is not None
-            if jet is None:
-                entry["ephemeral"] = False
-            else:
-                entry["jet"] = {"A": jet.A, "B": jet.B, "D": jet.D, "degree": degree}
-                entry["ephemeral"] = ephemeral
-                entry["marginal"] = jet.is_marginal()
-        results.append(entry)
+    _, points, reports, digest, label = _classified(args)
     bundle = _bundle(args, digest, label, started)
-    bundle["ephemeral_tests"] = results
+    bundle["ephemeral_tests"] = [_ephemeral_entry(w, r) for w, r in zip(points, reports)]
     bundle["timing_seconds"] = time.perf_counter() - started
     _emit(bundle, args.out)
     return 0
@@ -306,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report here (default stdout)")
+    listed = argparse.ArgumentParser(add_help=False)
+    listed.add_argument("spec", help="spec file path or catalog name")
+    listed.add_argument("--point-index", type=int, help="use only this listed point")
 
-    p = sub.add_parser("classify", parents=[common], help="classify listed points")
-    p.add_argument("spec", help="spec file path or catalog name")
-    p.add_argument("--point-index", type=int, help="classify only this listed point")
+    p = sub.add_parser("classify", parents=[common, listed], help="classify listed points")
     p.add_argument(
         "--tolerance-scale",
         type=_positive_float,
@@ -319,10 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "ephemeral-test", parents=[common], help="run the chart zero-set predicate"
+        "ephemeral-test", parents=[common, listed], help="run the chart zero-set predicate"
     )
-    p.add_argument("spec", help="spec file path or catalog name")
-    p.add_argument("--point-index", type=int)
     p.set_defaults(func=cmd_ephemeral_test)
 
     p = sub.add_parser(
@@ -367,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        parser.error("catalog show needs a name")
+    if args.command == "catalog" and (args.action == "show") != (args.name is not None):
+        parser.error(
+            "catalog show needs a name" if args.name is None else "catalog list takes no name"
+        )
     try:
         return args.func(args)
     except EphemeraError as exc:

@@ -877,3 +877,43 @@ def test_classify_points_derives_once_per_support_group(monkeypatch):
     reports = ephemera.classifier.classify_points(FAMILY_21M1.system, points)
     assert [r.support for r in reports] == list(supports)
     assert counts == {"dphi": 5, "grad_g": 5, "_kernel_of": 5, "stabilizer_slice": 5}
+
+
+def test_near_zero_coordinates_are_classified_on_their_stratum():
+    # the one vanishing rule decides the numbers too: with the coordinates of
+    # a support moved to 1e-12, 1e-9 and up to 1e-8 of the point's scale, a
+    # report equals that of the same point with those coordinates exactly 0,
+    # apart from the point it lists; every tall point of degree N >= 2 is
+    # then critical mod Phi (invariance kills the angle derivatives, and
+    # D(Phi) spans the radial directions of the other coordinates)
+    rng = np.random.default_rng(44)
+    families = [FAMILY_11M1, FAMILY_21M1] + [
+        build_family(w) for w in generated_weight_matrices(10, seed=38)
+    ]
+    seen = Counter()
+    for fam in families:
+        sys = fam.system
+        k = sys.coords
+        near, exact = [], []
+        for m in range(1, k + 1):
+            for support in itertools.combinations(range(k), m):
+                for tiny in (1e-12, 1e-9, rng.uniform(1e-9, 1e-8)):
+                    z = rng.uniform(0.5, 2.0, size=k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+                    z[list(support)] = 0.0
+                    exact.append(z.copy())
+                    angles = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+                    z[list(support)] = tiny * np.max(np.abs(z)) * angles
+                    near.append(z)
+        for z, got, want in zip(
+            near, classify_points(sys, np.array(near)), classify_points(sys, np.array(exact))
+        ):
+            assert got.support == want.support == support_of(z), (fam.xi.xi, z)
+            for key in ("label", "stabilizer", "critical_mod_phi", "multiplier", "blocks",
+                        "diagnostics", "jet", "ephemeral"):
+                assert getattr(got, key) == getattr(want, key), (fam.xi.xi, z, key)
+            if got.tall and got.degree_N >= 2:
+                assert got.critical_mod_phi, (fam.xi.xi, z)
+                seen["tall"] += 1
+            seen[got.label] += 1
+    assert seen["tall"] >= 100, seen
+    assert any(label in seen for label in ephemera.classifier.EPHEMERAL_LABELS), seen

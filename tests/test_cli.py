@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import ephemera
 import ephemera.classifier
-from ephemera.classifier import local_model_system
+from ephemera.classifier import local_model_system, slice_data
 from ephemera.cli import (
     CATALOG_NAMES,
     MAX_CHARTS,
@@ -28,9 +29,9 @@ from ephemera.cli import (
     build_parser,
     main,
 )
-from ephemera.errors import ParseError
+from ephemera.errors import ParseError, PrerequisiteVanishingFailed
 from ephemera.family import classify_family_point
-from ephemera.jets import InvariantPolynomial, RationalComplex
+from ephemera.jets import InvariantPolynomial, RationalComplex, chart_jet, ephemeral_zero_set_test
 from ephemera.lattice import DefiningVector
 from ephemera.serial import (
     load_spec_bytes,
@@ -347,6 +348,111 @@ def test_cli_high_degree_support_reports(tmp_path):
     assert entry["support_degree"] == 193 and entry["ephemeral"] is True
 
 
+def _reference_ephemeral_entry(spec, w) -> dict:
+    """The entry of a point built straight from the slice data: its support's
+    degree, then the reason the chart test does not apply, or whether the
+    slice data vanish below that degree, the jet, the zero-set verdict and
+    whether the float jet sits on the margin."""
+    xi_r = spec.xi.restrict(w.support)
+    entry = {"point": {"r": list(w.r), "theta": list(w.theta)}, "support_degree": xi_r.degree_N}
+    if not xi_r.tall or xi_r.degree_N < 2:
+        entry["ephemeral"] = False
+        entry["reason"] = "support not tall" if not xi_r.tall else "support degree below 2"
+        return entry
+    try:
+        jet = chart_jet(slice_data(spec, w.to_complex(), w.support))
+    except PrerequisiteVanishingFailed:
+        entry.update(vanishes_below_degree=False, ephemeral=False)
+        return entry
+    entry["vanishes_below_degree"] = True
+    entry["jet"] = {"A": jet.A, "B": jet.B, "D": jet.D, "degree": jet.degree}
+    entry["ephemeral"] = ephemeral_zero_set_test(jet)
+    entry["marginal"] = jet.is_marginal()
+    return entry
+
+
+def _every_support_family(rng) -> dict:
+    """A seeded proper family (xi (3, -2, 6)) with points of every support
+    pattern, the vanishing radii exactly 0 or at 1e-9 of the others."""
+    points = []
+    for m in range(4):
+        for support in itertools.combinations(range(3), m):
+            for tiny in (0.0, 0.0, 1e-9):
+                r = rng.uniform(0.5, 2.0, size=3)
+                r[list(support)] *= tiny
+                points.append({"r": r.tolist(), "theta": rng.uniform(0, 2 * np.pi, 3).tolist()})
+    return {"name": "every_support", "kind": "family", "description": "points of every support",
+            "weights": [[2, 3, 0], [0, 3, 1]], "points": points}
+
+
+# Im of the defining monomial plus 2 |z2|^2, at the origin of the model:
+# with xi (1, 1) the modulus term outweighs the monomial (not ephemeral),
+# with xi (2, 1) it survives below the degree N = 3
+_RADIAL_MODELS = [
+    {"name": f"radial_{xi[0]}{xi[1]}", "kind": "local_model", "xi": xi,
+     "g_terms": [{"a": xi, "b": [0, 0], "c": "-1/2i"}, {"a": [0, 0], "b": xi, "c": "1/2i"},
+                 {"a": [0, 1], "b": [0, 1], "c": "2"}],
+     "points": [{"z": [[0, 0], [0, 0]]}, {"r": [1.0, 1e-9], "theta": [1.0, 0.0]}]}
+    for xi in ([1, 1], [2, 1])
+]
+
+
+def test_ephemeral_test_entries_match_the_slice_data(tmp_path):
+    # each ephemeral-test entry, read off the classify report, is the entry
+    # the slice data, the chart jet and the zero-set test give directly, in
+    # the same key order
+    specs = [catalog_path(name) for name in CATALOG_NAMES] + [
+        json.dumps(payload).encode()
+        for payload in (_every_support_family(np.random.default_rng(45)), *_RADIAL_MODELS)
+    ]
+    seen = Counter()
+    for i, raw in enumerate(specs):
+        path, out = tmp_path / f"spec{i}.json", tmp_path / "e.json"
+        path.write_bytes(raw)
+        system, listed = load_spec_bytes(raw, str(path))[:2]
+        assert main(["ephemeral-test", str(path), "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())["ephemeral_tests"]
+        spec = getattr(system, "system", system)
+        assert len(entries) == len(listed)
+        for entry, w in zip(entries, listed):
+            want = _reference_ephemeral_entry(spec, w)
+            assert json.dumps(entry) == json.dumps(want), (i, w)
+            seen[want.get("reason", (want.get("vanishes_below_degree"), want["ephemeral"]))] += 1
+    assert set(seen) == {
+        "support not tall", "support degree below 2", (True, True), (True, False), (False, False)
+    }, seen
+
+
+def test_cli_labels_an_open_stratum_saddle_hyperbolic_connected(tmp_path):
+    # xi (1, 1), g = Im(z1 z2) + |z1|^2 + |z2|^2 - |z1|^2 |z2|^2 / 2: at
+    # z = (1, -i) the reduced function has a saddle.  The point is critical
+    # with multiplier 0, a hyperbolic block and a trivial stabilizer, so it
+    # is hyperbolic-connected on the one ladder of tall labels; a point off
+    # the critical set stays regular
+    spec = tmp_path / "saddle.json"
+    spec.write_text(json.dumps({
+        "name": "saddle",
+        "kind": "local_model",
+        "xi": [1, 1],
+        "g_terms": [
+            {"a": [1, 1], "b": [0, 0], "c": "-1/2i"},
+            {"a": [0, 0], "b": [1, 1], "c": "1/2i"},
+            {"a": [1, 0], "b": [1, 0], "c": "1"},
+            {"a": [0, 1], "b": [0, 1], "c": "1"},
+            {"a": [1, 1], "b": [1, 1], "c": "-1/2"},
+        ],
+        "points": [{"z": [[1, 0], [0, -1]]}, {"z": [[0.5**0.5, 0], [0, -(0.5**0.5)]]}],
+    }))
+    out = tmp_path / "c.json"
+    assert main(["classify", str(spec), "--out", str(out)]) == 0
+    saddle, off = json.loads(out.read_text())["reports"]
+    assert saddle["critical_mod_phi"] and saddle["tall"] and saddle["multiplier"] == [0.0]
+    assert [b["kind"] for b in saddle["blocks"]] == ["hyperbolic"]
+    assert saddle["stabilizer"]["rank"] == 0 and saddle["stabilizer"]["component_count"] == 1
+    assert saddle["label"] == "hyperbolic-connected"
+    assert not off["critical_mod_phi"] and off["label"] == "regular"
+
+
 def test_cli_catalog_list_and_show():
     result = run_cli(["catalog", "list"])
     assert result.returncode == 0
@@ -461,6 +567,9 @@ def test_tolerance_scale_must_be_finite_and_positive(value, tmp_path, capsys):
         ["fiber-scan", "family_11m1", "--beta-grid", "nan:1:1,1:1:1"],
         ["fiber-scan", "family_11m1", "--c-grid", "-1"],
         ["fiber-scan", "family_11m1", "--c-grid", "0"],
+        ["catalog", "list", "ex1_zN"],
+        ["catalog", "show"],
+        ["ephemeral-test", "family_11m1", "--tolerance-scale", "2"],
     ],
 )
 def test_cli_rejects_removed_and_invalid_options(argv, capsys):
