@@ -269,55 +269,78 @@ def level_components(chart, levels, resolution: int = 256) -> list[int]:
     inner corners R sin(psi) pass c.  At c != 0 they form one run of
     adjacent columns, since the sine is unimodal on each half-turn, and the
     left-neighbour joins connect it; at c = 0 only the cell across psi = pi
-    is marked, since sin(0) is exactly 0.  The corner bounds are
-    built once per chart; the marked cells of level k are numbered
-    k*n^2 + i*n + j so that cells of different levels never join, and all
-    levels are labelled together by min-label hooking with pointer jumping.
-    Returns one count per level, in order.
+    is marked, since sin(0) is exactly 0.
+
+    Every level is marked in one ranking of the corner values against the
+    sorted levels c_0 <= ... <= c_{m-1}: with below(v) the number of levels
+    < v and upto(v) the number <= v, lo < c_k < hi holds exactly when
+    upto(lo) <= k < below(hi).  Ranks are monotone, so below(hi) is the
+    largest corner rank and below(lo) the smallest, read from one
+    searchsorted over the grid on the narrowest integer dtype that holds m;
+    upto(lo) is taken only on the cells whose corner ranks differ, the only
+    ones that can cross a level.  The crossed (cell, level) pairs are
+    numbered cell*m + k, which lists them sorted and keeps levels from
+    joining, and all levels are labelled together by min-label hooking with
+    pointer jumping.  Returns one count per level, in order; equal levels
+    are marked alike and get equal counts.
     """
     n = max(int(resolution), MIN_RESOLUTION)
     ts = np.linspace(0.0, 1.0, n + 1)
     psis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     values = chart.gbar(ts[:, None], psis[None, :])
-    rolled = np.roll(values, -1, axis=1)
-    lo = np.minimum(values[:-1], rolled[:-1])
-    np.minimum(lo, values[1:], out=lo)
-    np.minimum(lo, rolled[1:], out=lo)
-    hi = np.maximum(values[:-1], rolled[:-1])
-    np.maximum(hi, values[1:], out=hi)
-    np.maximum(hi, rolled[1:], out=hi)
-    size = n * n
-    cells = np.concatenate(  # the empty head keeps levels=[] valid
-        [np.zeros(0, dtype=np.int64)]
-        + [np.flatnonzero((lo < c) & (c < hi)) + k * size for k, c in enumerate(levels)]
+    levels = np.asarray(levels, dtype=float)
+    order = np.argsort(levels)
+    ordered = levels[order]
+    m = len(ordered)
+    below = np.searchsorted(ordered, values).astype(np.min_scalar_type(m))
+    below = np.concatenate([below, below[:, :1]], axis=1)  # psi column 0 again, for the wrap
+    # the smallest and largest rank over each cell's four corners; only a
+    # cell whose two differ can cross a level
+    rank_lo = np.minimum(below[:-1], below[1:])
+    rank_hi = np.maximum(below[:-1], below[1:])
+    del below
+    rank_lo = np.minimum(rank_lo[:, :-1], rank_lo[:, 1:]).ravel()
+    rank_hi = np.maximum(rank_hi[:, :-1], rank_hi[:, 1:]).ravel()
+    cells = np.flatnonzero(rank_hi > rank_lo)
+    # on those, the smallest corner value lo gives the first crossed level,
+    # upto(lo); cell i*n + j has its corner (i, j) at flat[i*n + j]
+    flat = values.ravel()
+    right = cells + np.where(cells % n == n - 1, 1 - n, 1)  # corner (i, j + 1 mod n)
+    lo = np.minimum(np.minimum(flat[cells], flat[right]), flat[cells + n])
+    np.minimum(lo, flat[right + n], out=lo)
+    first = np.searchsorted(ordered, lo, side="right")
+    # the pairs of a cell are cell*m + upto(lo) .. cell*m + below(hi) - 1, in one run
+    runs = rank_hi[cells] - first
+    pairs = np.repeat(cells * m + first - (np.cumsum(runs) - runs), runs)
+    pairs += np.arange(len(pairs))
+    col = pairs // m % n
+    # join each pair to the pairs of its up (i-1, j) and left (i, j-1 mod n)
+    # neighbour cells at the same level, found by position in the sorted pairs
+    has_up = np.flatnonzero(pairs >= n * m)
+    a = np.concatenate([has_up, np.arange(len(pairs))])
+    target = np.concatenate(
+        [pairs[has_up] - n * m, np.where(col > 0, pairs - m, pairs + (n - 1) * m)]
     )
-    level, local = np.divmod(cells, size)
-    row, col = np.divmod(local, n)
-    # join each marked cell to its marked up (i-1, j) and left (i, j-1 mod n)
-    # neighbours, found by position in the sorted cell numbers
-    has_up = np.flatnonzero(row > 0)
-    a = np.concatenate([has_up, np.arange(len(cells))])
-    target = np.concatenate([cells[has_up] - n, np.where(col > 0, cells - 1, cells + n - 1)])
-    b = np.searchsorted(cells, target)
-    hit = cells.take(b, mode="clip") == target
+    b = np.searchsorted(pairs, target)
+    hit = pairs.take(b, mode="clip") == target
     a, b = a[hit], b[hit]
-    parent = np.arange(len(cells))
+    parent = np.arange(len(pairs))
     while True:
         ra, rb = parent[a], parent[b]
         apart = ra != rb
         if not apart.any():
             break
         a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-        # parent[x] <= x holds for every cell, so hooking the larger root onto
+        # parent[x] <= x holds for every pair, so hooking the larger root onto
         # the smaller makes no cycle; pointer jumping flattens the forest again
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            if (jumped == parent).all():
                 break
             parent = jumped
-    roots = level[parent == np.arange(len(cells))]
-    return np.bincount(roots, minlength=len(levels)).tolist()
+    roots = pairs[parent == np.arange(len(pairs))] % m
+    return np.bincount(order[roots], minlength=m).tolist()
 
 
 @dataclass(frozen=True)

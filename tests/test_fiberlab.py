@@ -374,6 +374,22 @@ def test_level_components_against_interval_oracle():
             assert got == _interval_count_oracle(chart, c), (chart, c)
 
 
+def _corner_values(chart, resolution):
+    """gbar on the corners of the level grid: resolution + 1 rows in t,
+    resolution columns in psi (the angle wraps)."""
+    ts = np.linspace(0.0, 1.0, resolution + 1)
+    psis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    return chart.gbar(ts[:, None], psis[None, :])
+
+
+def _straddle_mask(chart, c, resolution):
+    """Cells whose four corner values straddle c strictly."""
+    values = _corner_values(chart, resolution)
+    shifted = np.roll(values, -1, axis=1)
+    corners = np.stack([values[:-1], shifted[:-1], values[1:], shifted[1:]])
+    return (corners.min(axis=0) < c) & (c < corners.max(axis=0))
+
+
 def _flood_fill_count(chart, c, resolution):
     """Level components of gbar = c by breadth-first search over cells.
 
@@ -382,12 +398,7 @@ def _flood_fill_count(chart, c, resolution):
     wrapping in the angle.
     """
     n = resolution
-    ts = np.linspace(0.0, 1.0, n + 1)
-    psis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    values = chart.gbar(ts[:, None], psis[None, :])
-    shifted = np.roll(values, -1, axis=1)
-    corners = np.stack([values[:-1], shifted[:-1], values[1:], shifted[1:]])
-    marked = (corners.min(axis=0) < c) & (c < corners.max(axis=0))
+    marked = _straddle_mask(chart, c, n)
     seen = np.zeros_like(marked)
     count = 0
     for start in zip(*np.nonzero(marked)):
@@ -429,6 +440,57 @@ def test_level_components_levels_are_independent():
         assert level_components(chart, levels, MIN_RESOLUTION // 2) == level_components(
             chart, levels, MIN_RESOLUTION
         )
+
+
+def _tied_levels(chart, resolution, rng):
+    """Shuffled levels that tie the grid: values of gbar at seeded corners
+    away from 0, some twice, both zeros, and levels beyond +-r_max."""
+    values = _corner_values(chart, resolution).ravel()
+    ties = [float(v) for v in rng.choice(values[values != 0.0], 8)]
+    r_max = max(v for _, _, v, _ in critical_scan(chart).critical_points)
+    levels = ties + ties[:3] + [0.0, -0.0, 0.0, 1.5 * r_max, -1.5 * r_max, 2.0 * r_max, -2.0 * r_max]
+    rng.shuffle(levels)
+    return levels
+
+
+def _check_tied_levels(chart, resolution, rng):
+    levels = _tied_levels(chart, resolution, rng)
+    got = level_components(chart, levels, resolution)
+    assert got == [_flood_fill_count(chart, c, resolution) for c in levels], chart
+    assert level_components(chart, levels[::-1], resolution) == got[::-1]
+    for c, count in zip(levels, got):
+        assert count == got[levels.index(c)]  # equal levels (0.0 and -0.0 too) agree
+
+
+@pytest.mark.parametrize("resolution", [64, 97])
+def test_level_components_ties_and_order_on_shipped_charts(resolution):
+    rng = np.random.default_rng(resolution)
+    for fam in (FAM, FAM_CUBIC):
+        for beta in [(0.8, 1.6), (1.6, 1.6), (2.4, 0.8)]:
+            _check_tied_levels(reduced_surface(fam, beta), resolution, rng)
+    _check_tied_levels(SyntheticChart(dip=0.7), resolution, rng)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(_proper_family_charts(), st.sampled_from([64, 97]), st.integers(0, 2**32 - 1))
+def test_level_components_ties_and_order_on_generated_charts(charts, resolution, seed):
+    rng = np.random.default_rng(seed)
+    for chart in charts:
+        _check_tied_levels(chart, resolution, rng)
+
+
+def test_level_components_many_levels():
+    # 300 distinct levels: ranks outgrow 8 bits, and the cells of the steep
+    # flanks straddle several levels at once
+    for chart in (reduced_surface(FAM_CUBIC, (1.2, 1.6)), SyntheticChart(dip=0.7)):
+        r_max = max(v for _, _, v, _ in critical_scan(chart).critical_points)
+        levels = [float(c) for c in np.linspace(-1.1 * r_max, 1.1 * r_max, 300)]
+        got = level_components(chart, levels, 64)
+        assert got == [level_components(chart, [c], 64)[0] for c in levels]
+        for c, count in list(zip(levels, got))[::23]:
+            assert count == _flood_fill_count(chart, c, 64), c
+        marks = sum(_straddle_mask(chart, c, 64).astype(int) for c in levels)
+        assert marks.max() > 1
 
 
 def test_scan_is_deterministic():
