@@ -13,7 +13,9 @@ taken on a cell grid, and the two are cross-checked against each other.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -24,6 +26,7 @@ from .errors import EmptyFiber, NotProper
 from .family import FamilySystem
 
 MIN_RESOLUTION = 64
+STACK_CELLS = 1 << 16  # grid cells per labelled stack of charts
 CRITICAL_LEVEL_OFFSET = 1e-3  # nudge levels off critical values by this times range
 
 
@@ -58,13 +61,9 @@ class ReducedSurfaceChart:
     def radius_profile(self, t) -> np.ndarray:
         """R(t) = prod s_j(t)^(|xi_j|/2) over the moving coordinates."""
         t = np.asarray(t, dtype=float)
-        out = np.ones_like(t, dtype=float)
-        for start, rate, power in self.profile_terms:
-            out = out * np.clip(start + rate * t, 0.0, None) ** power
-        return out
-
-    def gbar(self, t, psi) -> np.ndarray:
-        return self.radius_profile(t) * np.sin(np.asarray(psi, dtype=float))
+        factors = (np.maximum(start + rate * t, 0.0) ** power
+                   for start, rate, power in self.profile_terms)
+        return functools.reduce(operator.mul, factors)
 
     def profile_critical_points(self) -> list[tuple[float, bool]]:
         """The one interior critical point of R as [(t, is_max)]: a maximum.
@@ -259,70 +258,113 @@ def critical_scan(chart) -> MorseReport:
     return MorseReport(critical_points=points)
 
 
-def level_components(chart, levels, resolution: int = 256) -> list[int]:
-    """Connected components of each level set {gbar = c} on a cell grid.
+def level_components(charts, levels, resolution: int = 256) -> list[list[int]]:
+    """Connected components of each level set {R sin(psi) = c} of a stack
+    of charts, on one cell grid per chart.
 
-    Cells are marked when the corner values straddle c strictly (bilinear
-    interpolants cross exactly then); marked cells are merged when edge
-    adjacent, wrapping in the angle.  The poles need no identification:
-    R is 0 at both ends, so the marked cells of a pole row are those whose
-    inner corners R sin(psi) pass c.  At c != 0 they form one run of
-    adjacent columns, since the sine is unimodal on each half-turn, and the
-    left-neighbour joins connect it; at c = 0 only the cell across psi = pi
-    is marked, since sin(0) is exactly 0.
+    levels holds one sequence of levels per chart.  Cells are marked when
+    the corner values straddle c strictly (bilinear interpolants cross
+    exactly then); marked cells are merged when edge adjacent, wrapping in
+    the angle.  The poles need no identification: R is 0 at both ends, so
+    the marked cells of a pole row are those whose inner corners
+    R sin(psi) pass c.  At c != 0 they form one run of adjacent columns,
+    since the sine is unimodal on each half-turn, and the left-neighbour
+    joins connect it; at c = 0 only the cell across psi = pi is marked,
+    since sin(0) is exactly 0.
 
-    Every level is marked in one ranking of the corner values against the
-    sorted levels c_0 <= ... <= c_{m-1}: with below(v) the number of levels
-    < v and upto(v) the number <= v, lo < c_k < hi holds exactly when
-    upto(lo) <= k < below(hi).  Ranks are monotone, so below(hi) is the
-    largest corner rank and below(lo) the smallest, read from one
-    searchsorted over the grid on the narrowest integer dtype that holds m;
-    upto(lo) is taken only on the cells whose corner ranks differ, the only
-    ones that can cross a level.  The crossed (cell, level) pairs are
-    numbered cell*m + k, which lists them sorted and keeps levels from
-    joining, and all levels are labelled together by min-label hooking with
-    pointer jumping.  Returns one count per level, in order; equal levels
-    are marked alike and get equal counts.
+    Each chart's levels are sorted, c_0 <= ... <= c_{m-1}, and padded with
+    +inf to the stack's widest count m, which no corner value reaches.
+    The crossed (chart, cell, level) pairs are numbered
+    (chart n^2 + cell) m + k (see _crossed_pairs), which lists them sorted
+    and keeps levels and charts from joining, and the whole stack is
+    labelled together by min-label hooking with pointer jumping.  Returns,
+    per chart, one count per level, in the order given; equal levels are
+    marked alike and get equal counts.
     """
     n = max(int(resolution), MIN_RESOLUTION)
+    m = max(map(len, levels), default=0)
+    # one +inf column more than the widest count ends every sorted row
+    padded = np.full((len(charts), m + 1), np.inf)
+    for row, chart_levels in zip(padded, levels):
+        row[:len(chart_levels)] = chart_levels
+    pairs = _crossed_pairs(charts, np.sort(padded, axis=1), n)
+    roots = _component_roots(pairs, n, m)
+    # each root's chart and level, the level mapped back through the sort
+    order = np.argsort(padded[:, :m], axis=1)
+    slot = roots // (n * n * m) * m
+    counts = np.bincount(slot + order.ravel()[slot + roots % m], minlength=order.size)
+    return [row[:len(chart_levels)].tolist()
+            for row, chart_levels in zip(counts.reshape(order.shape), levels)]
+
+
+def _crossed_pairs(charts, ordered, n: int) -> np.ndarray:
+    """The sorted numbers (chart n^2 + cell) m + k of the (chart, cell,
+    level) pairs whose four corner values straddle level k strictly.
+
+    The stack is one (charts, n + 1, n) grid of corner values, each chart's
+    radius_profile(ts) times sin(psis).  ordered holds each chart's sorted
+    levels, padded with +inf to m + 1.  With below(v) the number of a
+    chart's levels < v and upto(v) the number <= v, lo < c_k < hi holds
+    exactly when upto(lo) <= k < below(hi).  Ranks are monotone, so
+    below(hi) is the largest corner rank and below(lo) the smallest, read
+    from one searchsorted per chart on the narrowest integer dtype that
+    holds m; only a cell whose corner ranks differ can cross a level, and
+    on those upto(lo) steps below(lo) past the levels equal to lo.
+    """
+    m = ordered.shape[1] - 1
     ts = np.linspace(0.0, 1.0, n + 1)
-    psis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    values = chart.gbar(ts[:, None], psis[None, :])
-    levels = np.asarray(levels, dtype=float)
-    order = np.argsort(levels)
-    ordered = levels[order]
-    m = len(ordered)
-    below = np.searchsorted(ordered, values).astype(np.min_scalar_type(m))
-    below = np.concatenate([below, below[:, :1]], axis=1)  # psi column 0 again, for the wrap
+    sines = np.sin(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    values = np.empty((len(charts), n + 1, n))
+    below = np.empty((len(charts), n + 1, n + 1), dtype=np.min_scalar_type(m))
+    for grid, rank, chart, row in zip(values, below, charts, ordered):
+        np.multiply(chart.radius_profile(ts)[:, None], sines, out=grid)
+        rank[:, :n] = np.searchsorted(row, grid)
+    below[:, :, n] = below[:, :, 0]  # psi column 0 again, for the wrap
     # the smallest and largest rank over each cell's four corners; only a
     # cell whose two differ can cross a level
-    rank_lo = np.minimum(below[:-1], below[1:])
-    rank_hi = np.maximum(below[:-1], below[1:])
+    rank_lo = np.minimum(below[:, :-1], below[:, 1:])
+    rank_hi = np.maximum(below[:, :-1], below[:, 1:])
     del below
-    rank_lo = np.minimum(rank_lo[:, :-1], rank_lo[:, 1:]).ravel()
-    rank_hi = np.maximum(rank_hi[:, :-1], rank_hi[:, 1:]).ravel()
+    rank_lo = np.minimum(rank_lo[:, :, :-1], rank_lo[:, :, 1:]).ravel()
+    rank_hi = np.maximum(rank_hi[:, :, :-1], rank_hi[:, :, 1:]).ravel()
     cells = np.flatnonzero(rank_hi > rank_lo)
-    # on those, the smallest corner value lo gives the first crossed level,
-    # upto(lo); cell i*n + j has its corner (i, j) at flat[i*n + j]
+    # on those, the smallest corner value lo; cell i*n + j of chart k has
+    # its corner (i, j) at flat[k*(n + 1)*n + i*n + j]
+    chart_of = cells // (n * n)
+    corner = cells + chart_of * n
     flat = values.ravel()
-    right = cells + np.where(cells % n == n - 1, 1 - n, 1)  # corner (i, j + 1 mod n)
-    lo = np.minimum(np.minimum(flat[cells], flat[right]), flat[cells + n])
+    right = corner + np.where(cells % n == n - 1, 1 - n, 1)  # corner (i, j + 1 mod n)
+    lo = np.minimum(np.minimum(flat[corner], flat[right]), flat[corner + n])
     np.minimum(lo, flat[right + n], out=lo)
-    first = np.searchsorted(ordered, lo, side="right")
+    # upto(lo): below(lo) stepped past each level equal to lo
+    first = rank_lo[cells].astype(np.intp)
+    offset = chart_of * (m + 1)
+    while True:
+        tied = ordered.take(offset + first) == lo
+        if not tied.any():
+            break
+        first += tied
     # the pairs of a cell are cell*m + upto(lo) .. cell*m + below(hi) - 1, in one run
     runs = rank_hi[cells] - first
     pairs = np.repeat(cells * m + first - (np.cumsum(runs) - runs), runs)
     pairs += np.arange(len(pairs))
+    return pairs
+
+
+def _component_roots(pairs, n: int, m: int) -> np.ndarray:
+    """The root pair of each component: each pair is joined to the pairs
+    of its up (i-1, j) and left (i, j-1 mod n) neighbour cells of the same
+    chart at the same level, found by position in the sorted pairs."""
+    has_up = np.flatnonzero(pairs % (n * n * m) >= n * m)
     col = pairs // m % n
-    # join each pair to the pairs of its up (i-1, j) and left (i, j-1 mod n)
-    # neighbour cells at the same level, found by position in the sorted pairs
-    has_up = np.flatnonzero(pairs >= n * m)
     a = np.concatenate([has_up, np.arange(len(pairs))])
     target = np.concatenate(
         [pairs[has_up] - n * m, np.where(col > 0, pairs - m, pairs + (n - 1) * m)]
     )
+    del has_up, col  # freed before the search: it holds the peak memory of a call
     b = np.searchsorted(pairs, target)
     hit = pairs.take(b, mode="clip") == target
+    del target
     a, b = a[hit], b[hit]
     parent = np.arange(len(pairs))
     while True:
@@ -339,8 +381,7 @@ def level_components(chart, levels, resolution: int = 256) -> list[int]:
             if (jumped == parent).all():
                 break
             parent = jumped
-    roots = pairs[parent == np.arange(len(pairs))] % m
-    return np.bincount(order[roots], minlength=m).tolist()
+    return pairs[parent == np.arange(len(pairs))]
 
 
 @dataclass(frozen=True)
@@ -367,9 +408,6 @@ class SyntheticChart:
             return [(0.5, True)]
         side = math.asin(1.0 / math.sqrt(3.0 * self.dip)) / math.pi
         return [(side, True), (0.5, False), (1.0 - side, True)]
-
-    def gbar(self, t, psi) -> np.ndarray:
-        return self.radius_profile(t) * np.sin(np.asarray(psi, dtype=float))
 
 
 @dataclass
@@ -411,15 +449,22 @@ def off_critical_levels(morse: MorseReport, count: int, r_max: float) -> list[fl
     return list(dict.fromkeys(levels))
 
 
-def _verdict_for_chart(chart, c_count: int, resolution: int) -> ChartVerdict:
-    verdict = ChartVerdict(beta=tuple(chart.beta), status="ok")
-    morse = critical_scan(chart)
-    r_max = max(v for _, _, v, _ in morse.critical_points)  # R is 0 at both ends
-    levels = off_critical_levels(morse, c_count, r_max)
-    counts = dict(zip(levels, level_components(chart, levels, resolution)))
-    verdict.morse = morse
-    verdict.levels = counts
+def _stack_verdicts(charts, c_count: int, resolution: int) -> list[ChartVerdict]:
+    """The verdicts of a stack of nondegenerate charts: exact Morse data
+    and sampled levels chart by chart, then one labelling of the stack."""
+    scans = []
+    for chart in charts:
+        morse = critical_scan(chart)
+        r_max = max(v for _, _, v, _ in morse.critical_points)  # R is 0 at both ends
+        scans.append((morse, off_critical_levels(morse, c_count, r_max)))
+    counts = level_components(charts, [levels for _, levels in scans], resolution)
+    return [_verdict(chart.beta, morse, dict(zip(levels, k)))
+            for chart, (morse, levels), k in zip(charts, scans, counts)]
+
+
+def _verdict(beta, morse: MorseReport, counts: dict) -> ChartVerdict:
     idx0, idx1, idx2 = morse.index_counts()
+    verdict = ChartVerdict(beta=tuple(beta), status="ok", morse=morse, levels=counts)
     verdict.no_saddles = idx1 == 0
     verdict.all_levels_connected = all(k <= 1 for k in counts.values()) and any(
         k == 1 for k in counts.values()
@@ -429,16 +474,6 @@ def _verdict_for_chart(chart, c_count: int, resolution: int) -> ChartVerdict:
         verdict.all_levels_connected and verdict.euler_is_sphere
     )
     return verdict
-
-
-def _chart_row(sys: FamilySystem, beta, c_count: int, resolution: int) -> ChartVerdict:
-    try:
-        chart = reduced_surface(sys, beta)
-    except EmptyFiber:
-        return ChartVerdict(beta=tuple(map(float, beta)), status="empty")
-    if chart.degenerate:
-        return ChartVerdict(beta=tuple(chart.beta), status="point")
-    return _verdict_for_chart(chart, c_count, resolution)
 
 
 def connectivity_report(
@@ -454,18 +489,44 @@ def connectivity_report(
     versus (every sampled nonempty level connected and Euler number 2).
     The verdict is consistent when the two sides agree; an injected
     synthetic saddle profile must come out consistent with both sides
-    negative.  Charts are scanned one after another in grid order.  The
-    resolution is clamped to MIN_RESOLUTION once, here, and the clamped
-    value sets every grid of the scan and is the one recorded.
+    negative.  The grid is walked in order, and its nondegenerate charts
+    are labelled in stacks of as many as fit STACK_CELLS grid cells (at
+    least one), one stack held at a time; the verdicts keep grid order.
+    The resolution is clamped to MIN_RESOLUTION once, here, and the
+    clamped value sets every grid of the scan and is the one recorded.
     """
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")
     resolution = max(int(resolution), MIN_RESOLUTION)
-    charts = [_chart_row(sys, b, c_count, resolution) for b in beta_grid]
+    per_stack = max(STACK_CELLS // resolution**2, 1)
+    charts, stack, slots = [], [], []
+
+    def label_stack():
+        for i, verdict in zip(slots, _stack_verdicts(stack, c_count, resolution)):
+            charts[i] = verdict
+        stack.clear()
+        slots.clear()
+
+    for beta in beta_grid:
+        try:
+            chart = reduced_surface(sys, beta)
+        except EmptyFiber:
+            charts.append(ChartVerdict(beta=tuple(map(float, beta)), status="empty"))
+            continue
+        if chart.degenerate:
+            charts.append(ChartVerdict(beta=tuple(chart.beta), status="point"))
+            continue
+        slots.append(len(charts))
+        charts.append(None)
+        stack.append(chart)
+        if len(stack) == per_stack:
+            label_stack()
+    if stack:
+        label_stack()
     ok = all(c.consistent for c in charts if c.status == "ok")
     synthetic = None
     if synthetic_check:
-        synthetic = _verdict_for_chart(SyntheticChart(dip=0.7), c_count, resolution)
+        (synthetic,) = _stack_verdicts([SyntheticChart(dip=0.7)], c_count, resolution)
         saddle_seen = not synthetic.no_saddles
         disconnection_seen = not (
             synthetic.all_levels_connected and synthetic.euler_is_sphere

@@ -22,6 +22,11 @@ from ephemera.lattice import DefiningVector, WeightMatrix
 from ephemera.serial import _schema_error
 
 
+def gbar(chart, t, psi) -> np.ndarray:
+    """The reduced function R(t) sin(psi) of a fiber-scan chart."""
+    return chart.radius_profile(t) * np.sin(np.asarray(psi, dtype=float))
+
+
 def fourier_motzkin_proper(w: WeightMatrix) -> bool:
     """Whether some covector pairs strictly positively with every weight.
 

@@ -261,6 +261,21 @@ def test_cli_fiber_scan_csv(tmp_path):
     assert len(lines) > 4
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_SCAN = ["--beta-grid=-1:3:9,-1:3:9", "--resolution", "64", "--c-grid", "5"]
+
+
+@pytest.mark.parametrize("name", ["family_11m1", "family_21m1"])
+def test_cli_fiber_scan_csv_matches_golden_bytes(name, tmp_path):
+    # 81 targets: 36 ok charts, labelled in stacks of 16, 16 and 4, and 32
+    # empty and 13 point charts between them
+    out_csv = tmp_path / "rows.csv"
+    code = main(["fiber-scan", name, *GOLDEN_SCAN, "--out", str(tmp_path / "o.json"),
+                 "--csv", str(out_csv)])
+    assert code == 0
+    assert out_csv.read_bytes() == (GOLDEN / f"fiber_scan_{name}.csv").read_bytes()
+
+
 def test_spec_file_with_custom_polynomial(tmp_path):
     # a local-model spec may override g with serialized terms; the perturbed
     # invariant keeps the ephemeral verdict but shifts the modulus slot

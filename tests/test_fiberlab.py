@@ -17,8 +17,9 @@ from ephemera.errors import EmptyFiber, InvalidAction, NotProper
 from ephemera.family import PolarPoint, build_family, eval_polar
 from ephemera.fiberlab import (
     MIN_RESOLUTION,
+    STACK_CELLS,
     SyntheticChart,
-    _verdict_for_chart,
+    _stack_verdicts,
     connectivity_report,
     critical_scan,
     level_components,
@@ -26,7 +27,7 @@ from ephemera.fiberlab import (
     reduced_surface,
 )
 from ephemera.lattice import WeightMatrix
-from oracle_helpers import bisection_profile_root
+from oracle_helpers import bisection_profile_root, gbar
 
 FAM = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
 FAM_CUBIC = build_family(WeightMatrix(((1, 0, 2), (0, 1, 1))))
@@ -90,17 +91,17 @@ def test_gbar_matches_lifted_points():
         theta[0] = psi / xi[0]
         w = PolarPoint(r=tuple(np.sqrt(s)), theta=tuple(theta))
         _, g_lift = eval_polar(FAM, w)
-        assert float(chart.gbar(t, psi)) == pytest.approx(g_lift, rel=1e-10, abs=1e-10)
+        assert float(gbar(chart, t, psi)) == pytest.approx(g_lift, rel=1e-10, abs=1e-10)
 
 
 def test_gbar_trivial_values():
     chart = reduced_surface(FAM, (1, 1))
     for t in (0.0, 0.3, 0.8, 1.0):
-        assert float(chart.gbar(t, 0.0)) == pytest.approx(0.0)
-    assert float(chart.gbar(0.5, np.pi / 2)) > 0.0
+        assert float(gbar(chart, t, 0.0)) == pytest.approx(0.0)
+    assert float(gbar(chart, 0.5, np.pi / 2)) > 0.0
     # collapsed endpoints carry the value zero
-    assert float(chart.gbar(0.0, 1.234)) == pytest.approx(0.0)
-    assert float(chart.gbar(1.0, 4.321)) == pytest.approx(0.0)
+    assert float(gbar(chart, 0.0, 1.234)) == pytest.approx(0.0)
+    assert float(gbar(chart, 1.0, 4.321)) == pytest.approx(0.0)
 
 
 def test_critical_scan_sphere_chart():
@@ -286,8 +287,7 @@ def test_generated_family_fiber_scan_is_consistent(charts):
     # g is the imaginary part of the defining monomial, so every chart has
     # one maximum and one minimum and no saddle: the scan's two sides must
     # agree, and every sampled level be connected
-    for chart in charts:
-        verdict = _verdict_for_chart(chart, 21, 512)
+    for chart, verdict in zip(charts, _stack_verdicts(charts, 21, 512), strict=True):
         assert verdict.status == "ok"
         assert verdict.consistent, chart.beta
         assert verdict.morse.index_counts()[1] == 0, chart.beta
@@ -316,9 +316,9 @@ def test_level_components_sphere():
     chart = reduced_surface(FAM, (1, 1))
     report = critical_scan(chart)
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 513))))
-    assert level_components(chart, [2.0 * r_max], 512) == [0]
+    assert level_components([chart], [[2.0 * r_max]], 512)[0] == [0]
     levels = off_critical_levels(report, 21, r_max)
-    for c, count in zip(levels, level_components(chart, levels, 512), strict=True):
+    for c, count in zip(levels, level_components([chart], [levels], 512)[0], strict=True):
         assert count == 1, c
 
 
@@ -329,9 +329,9 @@ def test_level_components_synthetic_two_loops():
     rv = chart.radius_profile(ts)
     saddle, peak = rv[1024], float(rv.max())
     between = 0.5 * (saddle + peak)
-    assert level_components(chart, [between], 512) == [2]
+    assert level_components([chart], [[between]], 512)[0] == [2]
     below = 0.5 * saddle
-    assert level_components(chart, [below], 512) == [1]
+    assert level_components([chart], [[below]], 512)[0] == [1]
 
 
 def _interval_count_oracle(chart, c, samples=4096):
@@ -361,7 +361,7 @@ def test_level_components_against_interval_oracle():
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 1025))))
         report = critical_scan(chart)
         levels = off_critical_levels(report, 21, r_max)
-        for c, got in zip(levels, level_components(chart, levels, 512), strict=True):
+        for c, got in zip(levels, level_components([chart], [levels], 512)[0], strict=True):
             assert got == _interval_count_oracle(chart, c), (chart, c)
         levels = []
         for _ in range(20):
@@ -370,7 +370,7 @@ def test_level_components_against_interval_oracle():
             if any(abs(c - v) < 5e-3 * r_max for v in values + [0.0]):
                 continue
             levels.append(c)
-        for c, got in zip(levels, level_components(chart, levels, 512), strict=True):
+        for c, got in zip(levels, level_components([chart], [levels], 512)[0], strict=True):
             assert got == _interval_count_oracle(chart, c), (chart, c)
 
 
@@ -379,7 +379,7 @@ def _corner_values(chart, resolution):
     resolution columns in psi (the angle wraps)."""
     ts = np.linspace(0.0, 1.0, resolution + 1)
     psis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    return chart.gbar(ts[:, None], psis[None, :])
+    return gbar(chart, ts[:, None], psis[None, :])
 
 
 def _straddle_mask(chart, c, resolution):
@@ -425,7 +425,7 @@ def test_level_components_matches_flood_fill():
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 65))))
         levels = off_critical_levels(critical_scan(chart), 21, r_max)
         levels += [0.0, 1.5 * r_max]
-        got = level_components(chart, levels, 64)
+        got = level_components([chart], [levels], 64)[0]
         assert got == [_flood_fill_count(chart, c, 64) for c in levels], chart
 
 
@@ -433,12 +433,12 @@ def test_level_components_levels_are_independent():
     for chart in (reduced_surface(FAM, (1, 1)), SyntheticChart(dip=0.7)):
         r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 129))))
         levels = off_critical_levels(critical_scan(chart), 21, r_max) + [0.0]
-        together = level_components(chart, levels, 128)
-        assert together == [level_components(chart, [c], 128)[0] for c in levels]
-        assert level_components(chart, levels[::-1], 128) == together[::-1]
-        assert level_components(chart, [], 128) == []
-        assert level_components(chart, levels, MIN_RESOLUTION // 2) == level_components(
-            chart, levels, MIN_RESOLUTION
+        together = level_components([chart], [levels], 128)[0]
+        assert together == [level_components([chart], [[c]], 128)[0][0] for c in levels]
+        assert level_components([chart], [levels[::-1]], 128)[0] == together[::-1]
+        assert level_components([chart], [[]], 128)[0] == []
+        assert level_components([chart], [levels], MIN_RESOLUTION // 2) == level_components(
+            [chart], [levels], MIN_RESOLUTION
         )
 
 
@@ -455,9 +455,9 @@ def _tied_levels(chart, resolution, rng):
 
 def _check_tied_levels(chart, resolution, rng):
     levels = _tied_levels(chart, resolution, rng)
-    got = level_components(chart, levels, resolution)
+    got = level_components([chart], [levels], resolution)[0]
     assert got == [_flood_fill_count(chart, c, resolution) for c in levels], chart
-    assert level_components(chart, levels[::-1], resolution) == got[::-1]
+    assert level_components([chart], [levels[::-1]], resolution)[0] == got[::-1]
     for c, count in zip(levels, got):
         assert count == got[levels.index(c)]  # equal levels (0.0 and -0.0 too) agree
 
@@ -485,12 +485,118 @@ def test_level_components_many_levels():
     for chart in (reduced_surface(FAM_CUBIC, (1.2, 1.6)), SyntheticChart(dip=0.7)):
         r_max = max(v for _, _, v, _ in critical_scan(chart).critical_points)
         levels = [float(c) for c in np.linspace(-1.1 * r_max, 1.1 * r_max, 300)]
-        got = level_components(chart, levels, 64)
-        assert got == [level_components(chart, [c], 64)[0] for c in levels]
+        got = level_components([chart], [levels], 64)[0]
+        assert got == [level_components([chart], [[c]], 64)[0][0] for c in levels]
         for c, count in list(zip(levels, got))[::23]:
             assert count == _flood_fill_count(chart, c, 64), c
         marks = sum(_straddle_mask(chart, c, 64).astype(int) for c in levels)
         assert marks.max() > 1
+
+
+def _check_stack(charts, levels, resolution, every=1):
+    """One stack against one-chart stacks, and every `every`-th level of
+    each chart against the flood fill; returns the stack's counts."""
+    got = level_components(charts, levels, resolution)
+    assert got == [level_components([chart], [chart_levels], resolution)[0]
+                   for chart, chart_levels in zip(charts, levels, strict=True)]
+    for chart, chart_levels, counts in zip(charts, levels, got, strict=True):
+        assert len(counts) == len(chart_levels)
+        for c, count in list(zip(chart_levels, counts))[::every]:
+            assert count == _flood_fill_count(chart, c, resolution), (chart, c)
+    return got
+
+
+def _sampled_levels(chart, count):
+    morse = critical_scan(chart)
+    r_max = max(v for _, _, v, _ in morse.critical_points)
+    return off_critical_levels(morse, count, r_max)
+
+
+def test_level_components_stack_holds_one_chart_twice():
+    # the same chart twice: its counts come out twice, not merged across
+    # the two grids, whose first and last rows meet in the pair numbering
+    for chart in (reduced_surface(FAM, (1.2, 1.6)), SyntheticChart(dip=0.7)):
+        levels = _sampled_levels(chart, 9) + [0.0]
+        (once,) = _check_stack([chart], [levels], 64)
+        assert _check_stack([chart, chart], [levels, levels], 64) == [once, once]
+    assert 2 in once  # the synthetic control's two loops, in each copy
+
+
+def test_level_components_stack_of_mixed_level_counts():
+    synth = SyntheticChart(dip=0.7)
+    deduped = _sampled_levels(synth, 2001)  # nudging merges levels near critical values
+    assert len(deduped) < 2001
+    charts = [reduced_surface(FAM, (1.2, 1.6)), synth, reduced_surface(FAM_CUBIC, (0.8, 2.4)),
+              SyntheticChart(dip=0.2), synth]
+    r_max = max(v for _, _, v, _ in critical_scan(charts[2]).critical_points)
+    levels = [_sampled_levels(charts[0], 21), [], [0.3 * r_max, -0.0, 0.3 * r_max, 0.0],
+              [0.5], deduped]
+    got = _check_stack(charts, levels, 64, every=97)
+    assert [len(counts) for counts in got] == [21, 0, 4, 1, len(deduped)]
+    assert level_components([], [], 64) == []
+    assert level_components(charts[:2], [[], []], 64) == [[], []]
+
+
+def _recording_stacks(monkeypatch):
+    """The charts and levels of each level_components call, in order."""
+    import ephemera.fiberlab
+
+    stacks = []
+
+    def recording(charts, levels, resolution=256):
+        stacks.append((list(charts), [list(chart_levels) for chart_levels in levels], resolution))
+        return level_components(charts, levels, resolution)
+
+    monkeypatch.setattr(ephemera.fiberlab, "level_components", recording)
+    return stacks
+
+
+@pytest.mark.parametrize(("resolution", "sizes"), [
+    (64, [16, 16, 4, 1]), (97, [6] * 6 + [1]), (256, [1] * 37), (512, [1] * 37)])
+def test_scan_labels_charts_in_stacks_of_the_cell_budget(resolution, sizes, monkeypatch):
+    # 36 ok charts (with 32 empty and 13 point charts between them), then the
+    # synthetic control on its own: each stack holds as many charts as fit
+    # STACK_CELLS cells, and the last one of the grid may be partial
+    stacks = _recording_stacks(monkeypatch)
+    axis = np.linspace(-1.0, 3.0, 9)
+    betas = [(a, b) for a in axis for b in axis]
+    report = connectivity_report(FAM, betas, c_count=3, resolution=resolution)
+    assert [len(charts) for charts, _, _ in stacks] == sizes
+    assert all(max(STACK_CELLS // resolution**2, 1) >= size for size in sizes)
+    assert Counter(c.status for c in report.charts) == {"ok": 36, "empty": 32, "point": 13}
+    ok = [c for c in report.charts if c.status == "ok"]
+    assert [c.beta for c in ok] == [chart.beta for charts, _, _ in stacks[:-1] for chart in charts]
+    assert [tuple(c.levels) for c in ok] == [
+        tuple(chart_levels) for _, levels, _ in stacks[:-1] for chart_levels in levels]
+    assert stacks[-1][0] == [SyntheticChart(dip=0.7)]
+
+
+def test_scan_with_a_partial_last_stack_at_resolution_97():
+    # 6 charts fit a stack at 97; 15 ok charts make stacks of 6, 6 and 3
+    betas = [(a, b) for a in np.linspace(0.6, 2.4, 5) for b in np.linspace(0.6, 2.4, 3)]
+    report = connectivity_report(FAM_CUBIC, betas, c_count=7, resolution=97)
+    assert [c.status for c in report.charts] == ["ok"] * 15
+    for beta, verdict in zip(betas, report.charts, strict=True):
+        chart = reduced_surface(FAM_CUBIC, beta)
+        levels = list(verdict.levels)
+        (counts,) = _check_stack([chart], [levels], 97)
+        assert list(verdict.levels.values()) == counts, beta
+    synth = report.synthetic_check
+    (counts,) = _check_stack([SyntheticChart(dip=0.7)], [list(synth.levels)], 97)
+    assert list(synth.levels.values()) == counts
+    assert 2 in counts and synth.consistent
+
+
+@pytest.mark.parametrize("synthetic_check", [True, False])
+def test_scan_of_a_grid_with_no_ok_chart(synthetic_check, monkeypatch):
+    stacks = _recording_stacks(monkeypatch)
+    betas = [(-1.0, 1.0), (0.0, 0.0), (1.0, -0.5), (-2.0, -2.0)]
+    report = connectivity_report(FAM, betas, c_count=5, resolution=64,
+                                 synthetic_check=synthetic_check)
+    assert [c.status for c in report.charts] == ["empty", "point", "empty", "empty"]
+    assert report.all_consistent is True
+    assert [charts for charts, _, _ in stacks] == [[SyntheticChart(dip=0.7)]] * synthetic_check
+    assert (report.synthetic_check is not None) == synthetic_check
 
 
 def test_scan_is_deterministic():
@@ -531,18 +637,9 @@ def test_coinciding_levels_are_sampled_once(monkeypatch):
     # at 2001 levels nudging moves several onto the same value next to the
     # synthetic control's critical values; each value is labelled once and
     # every labelled level is reported
-    import ephemera.fiberlab
-
-    labelled = []
-
-    def recording(chart, levels, resolution=256):
-        labelled.append(list(levels))
-        return level_components(chart, levels, resolution)
-
-    monkeypatch.setattr(ephemera.fiberlab, "level_components", recording)
-    synth = SyntheticChart(dip=0.7)
-    verdict = _verdict_for_chart(synth, 2001, MIN_RESOLUTION)
-    (levels,) = labelled
+    stacks = _recording_stacks(monkeypatch)
+    (verdict,) = _stack_verdicts([SyntheticChart(dip=0.7)], 2001, MIN_RESOLUTION)
+    ((_, (levels,), _),) = stacks
     assert len(set(levels)) == len(levels) < 2001
     assert list(verdict.levels) == levels
     assert levels == sorted(levels)
@@ -553,11 +650,11 @@ def test_resolution_stability():
     report = critical_scan(chart)
     r_max = float(np.max(chart.radius_profile(np.linspace(0, 1, 257))))
     levels = off_critical_levels(report, 11, r_max)
-    assert level_components(chart, levels, 256) == level_components(chart, levels, 512)
+    assert level_components([chart], [levels], 256) == level_components([chart], [levels], 512)
     synth = SyntheticChart(dip=0.7)
     report = critical_scan(synth)
     levels = off_critical_levels(report, 11, 1.0)
-    assert level_components(synth, levels, 256) == level_components(synth, levels, 512)
+    assert level_components([synth], [levels], 256) == level_components([synth], [levels], 512)
 
 
 def test_connectivity_report_consistent():
