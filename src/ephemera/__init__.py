@@ -17,7 +17,6 @@ from .classifier import (
     stabilizer_slice,
 )
 from .family import (
-    FamilySystem,
     PolarPoint,
     build_family,
     classify_family_point,
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     "ChartJet",
     "DefiningVector",
-    "FamilySystem",
     "InvariantPolynomial",
     "PolarPoint",
     "RationalComplex",

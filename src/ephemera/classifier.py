@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotCriticalModPhi, NotInvariant, NotTall, PrerequisiteVanishingFailed
+from .errors import (InvalidAction, NotCriticalModPhi, NotInvariant, NotTall,
+                     PrerequisiteVanishingFailed)
 from .jets import (
     ChartJet,
     InvariantPolynomial,
@@ -28,8 +29,10 @@ from .jets import (
 from .lattice import (
     DefiningVector,
     StabilizerData,
+    WeightMatrix,
     connectivity_obstruction,
     kernel_basis,
+    properness_check,
     slice_weights_from_xi,
 )
 
@@ -70,17 +73,23 @@ class SystemSpec:
 
     weights has one row per torus generator (possibly zero rows for a
     finite group); xi presents the kernel of the defining character and is
-    kept non-primitive for disconnected stabilizers.  weight_array holds
-    the weights once more as an integer (d, k) array and complex_structure
-    the standard J on R^2k.  The Wirtinger derivative tables of g are
-    built on first use (a fiber scan never needs them), and stabilizers
-    holds the stabilizer data of each support seen so far.
+    kept non-primitive for disconnected stabilizers.  A family on C^n also
+    keeps its validated weight_matrix (whose entries and kernel are weights
+    and xi), and its g is Im P, the imaginary part of the defining
+    monomial; proper says whether its moment map is proper, and is False
+    without a weight matrix.  weight_array holds the weights once more as
+    an integer (d, k) array and complex_structure the standard J on R^2k.
+    The Wirtinger derivative tables of g are built on first use (a fiber
+    scan never needs them), and stabilizers holds the stabilizer data of
+    each support seen so far.
     """
 
     weights: tuple[tuple[int, ...], ...]
     xi: DefiningVector
     g: InvariantPolynomial
     name: str = ""
+    weight_matrix: WeightMatrix | None = None
+    proper: bool = field(init=False, compare=False)
     weight_array: np.ndarray = field(init=False, repr=False, compare=False)
     complex_structure: np.ndarray = field(init=False, repr=False, compare=False)
     stabilizers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -91,6 +100,13 @@ class SystemSpec:
             raise NotInvariant("g carries a different invariance context than the system")
         if not check_invariance(self.g):
             raise NotInvariant("g has a term outside the invariant lattice")
+        matrix = self.weight_matrix
+        if matrix is not None:
+            if (self.weights, self.xi.xi) != (matrix.entries, matrix.kernel):
+                raise InvalidAction("weights and xi differ from the weight matrix's")
+            if self.g != InvariantPolynomial.imag_defining_monomial(self.xi):
+                raise NotInvariant("a family's g must be Im P of its defining vector")
+        object.__setattr__(self, "proper", matrix is not None and properness_check(matrix))
         w = np.array(self.weights, dtype=int).reshape(len(self.weights), self.coords)
         object.__setattr__(self, "weight_array", w)
         object.__setattr__(self, "complex_structure", standard_complex_structure(self.coords))

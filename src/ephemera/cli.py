@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .classifier import classify_points, fiber_verdicts
 from .errors import EphemeraError, ParseError, UnknownName
-from .family import FamilySystem, PolarPoint
+from .family import PolarPoint
 from .fiberlab import MIN_RESOLUTION, connectivity_report
 from .serial import (
     connectivity_csv_rows,
@@ -117,7 +117,6 @@ def _classified(args, tolerance_scale: float = 1.0):
     the one at --point-index, or the origin when none is listed), each with
     its classify_points report."""
     system, listed, digest, label = _load(args.spec)
-    spec = system.system if isinstance(system, FamilySystem) else system
     points = list(listed)
     if args.point_index is not None:
         if not (0 <= args.point_index < len(points)):
@@ -127,8 +126,8 @@ def _classified(args, tolerance_scale: float = 1.0):
         points = [points[args.point_index]]
     if not points:
         # default probe: the origin of the slice or of the ambient space
-        points = [PolarPoint(r=(0.0,) * spec.coords, theta=(0.0,) * spec.coords)]
-    reports = classify_points(spec, [w.to_complex() for w in points], tolerance_scale)
+        points = [PolarPoint(r=(0.0,) * system.coords, theta=(0.0,) * system.coords)]
+    reports = classify_points(system, [w.to_complex() for w in points], tolerance_scale)
     return system, points, reports, digest, label
 
 
@@ -138,7 +137,7 @@ def cmd_classify(args) -> int:
     bundle = _bundle(args, digest, label, started)
     bundle["reports"] = [report_to_json(r) for r in reports]
     bundle["fiber_verdict"] = None
-    if isinstance(system, FamilySystem) and reports:
+    if system.weight_matrix is not None and reports:
         verdict = fiber_verdicts(reports)
         bundle["fiber_verdict"] = {
             "connectivity_expected": verdict.connectivity_expected,
@@ -205,7 +204,7 @@ def _beta_axes(text: str) -> list[np.ndarray]:
 def cmd_fiber_scan(args) -> int:
     started = time.perf_counter()
     system, _, digest, label = _load(args.spec)
-    if not isinstance(system, FamilySystem):
+    if system.weight_matrix is None:
         raise ParseError("fiber-scan needs a family spec (kind = \"family\")")
     if args.resolution < MIN_RESOLUTION:
         print(
@@ -213,10 +212,8 @@ def cmd_fiber_scan(args) -> int:
             file=sys.stderr,
         )
     axes = args.beta_grid
-    if len(axes) != system.weights.torus_dim:
-        raise ParseError(
-            f"beta grid needs {system.weights.torus_dim} axes, got {len(axes)}"
-        )
+    if len(axes) != system.torus_dim:
+        raise ParseError(f"beta grid needs {system.torus_dim} axes, got {len(axes)}")
     betas = [tuple(float(v) for v in combo) for combo in itertools.product(*axes)]
     report = connectivity_report(
         system,

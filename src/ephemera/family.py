@@ -16,33 +16,16 @@ import numpy as np
 from .classifier import SystemSpec, support_of
 from .errors import ConditionsNotMet, UnsupportedSupport
 from .jets import InvariantPolynomial
-from .lattice import DefiningVector, WeightMatrix, defining_vector, properness_check
+from .lattice import WeightMatrix, defining_vector
 
 COND_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FamilySystem:
-    weights: WeightMatrix
-    xi: DefiningVector
-    proper: bool
-    system: SystemSpec
-
-    @property
-    def n(self) -> int:
-        return self.weights.n
-
-
-def build_family(w: WeightMatrix, name: str = "") -> FamilySystem:
+def build_family(w: WeightMatrix, name: str = "") -> SystemSpec:
     """System (C^n, Phi, Im of the defining monomial) for a weight matrix."""
     xi = defining_vector(w)
     g = InvariantPolynomial.imag_defining_monomial(xi)
-    return FamilySystem(
-        weights=w,
-        xi=xi,
-        proper=properness_check(w),
-        system=SystemSpec(weights=w.entries, xi=xi, g=g, name=name),
-    )
+    return SystemSpec(weights=w.entries, xi=xi, g=g, name=name, weight_matrix=w)
 
 
 @dataclass(frozen=True)
@@ -80,27 +63,27 @@ class PolarPoint:
         )
 
 
-def eval_polar(sys: FamilySystem, w: PolarPoint) -> tuple[np.ndarray, float]:
+def eval_polar(sys: SystemSpec, w: PolarPoint) -> tuple[np.ndarray, float]:
     """Moment map and g at a polar point.
 
     The product-sine form of g applies whenever the exponents vanish on the
     support; otherwise g is evaluated in cartesian coordinates.
     """
     r = np.asarray(w.r, dtype=float)
-    phi = sys.system.phi(r)
+    phi = sys.phi(r)
     xi = sys.xi.xi
     support = set(w.support)
     if all(xi[i] == 0 for i in support):
-        others = [j for j in range(sys.n) if j not in support]
+        others = [j for j in range(sys.coords) if j not in support]
         modulus = float(np.prod([r[j] ** abs(xi[j]) for j in others], initial=1.0))
         angle = float(sum(xi[j] * w.theta[j] for j in others))
         g = modulus * np.sin(angle)
     else:
-        g = sys.system.g_value(w.to_complex())
+        g = sys.g_value(w.to_complex())
     return phi, float(g)
 
 
-def singularity_conditions(sys: FamilySystem, w: PolarPoint) -> tuple[float, float]:
+def singularity_conditions(sys: SystemSpec, w: PolarPoint) -> tuple[float, float]:
     """Residuals of the two closed-form criticality conditions.
 
     Zero residuals (angle-sum cosine and exponent-weighted inverse-square
@@ -113,23 +96,23 @@ def singularity_conditions(sys: FamilySystem, w: PolarPoint) -> tuple[float, flo
         raise UnsupportedSupport(
             f"support {sorted(support)} carries nonzero exponents"
         )
-    others = [j for j in range(sys.n) if j not in support]
+    others = [j for j in range(sys.coords) if j not in support]
     c1 = float(np.cos(sum(xi[j] * w.theta[j] for j in others)))
     c2 = float(sum(xi[j] * abs(xi[j]) / w.r[j] ** 2 for j in others))
     return c1, c2
 
 
-def _check_conditions(sys: FamilySystem, w: PolarPoint) -> tuple[list[int], float]:
+def _check_conditions(sys: SystemSpec, w: PolarPoint) -> tuple[list[int], float]:
     c1, c2 = singularity_conditions(sys, w)
     xi = sys.xi.xi
-    others = [j for j in range(sys.n) if j not in set(w.support)]
+    others = [j for j in range(sys.coords) if j not in set(w.support)]
     scale = sum(abs(xi[j]) ** 2 / w.r[j] ** 2 for j in others)
     if abs(c1) > COND_TOL or abs(c2) > COND_TOL * max(scale, 1.0):
         raise ConditionsNotMet(f"residuals ({c1:.2e}, {c2:.2e}) not within tolerance")
     return others, scale
 
 
-def classify_family_point(sys: FamilySystem, w: PolarPoint) -> str:
+def classify_family_point(sys: SystemSpec, w: PolarPoint) -> str:
     """Closed-form label, same vocabulary as the generic classifier."""
     support = w.support
     xi_r = sys.xi.restrict(support)

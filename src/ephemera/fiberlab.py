@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .classifier import SystemSpec
 from .errors import EmptyFiber, NotProper
-from .family import FamilySystem
 
 MIN_RESOLUTION = 64
 STACK_CELLS = 1 << 16  # grid cells per labelled stack of charts
@@ -170,7 +170,7 @@ def _ratio(b) -> tuple[int, int]:
     return b.numerator, b.denominator
 
 
-def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
+def reduced_surface(sys: SystemSpec, beta) -> ReducedSurfaceChart:
     """Exact segment solve of the reduced space over a target value.
 
     The squared radii satisfy (1/2) W s = beta with s >= 0; the solution
@@ -187,12 +187,13 @@ def reduced_surface(sys: FamilySystem, beta) -> ReducedSurfaceChart:
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")
     beta = [_ratio(b) for b in beta]
-    d, n = sys.weights.torus_dim, sys.n
+    d, n = sys.torus_dim, sys.coords
     if len(beta) != d:
         raise ValueError(f"target must have {d} components")
     den = math.lcm(*(q for _, q in beta))
     scaled = [p * (den // q) for p, q in beta]
-    star = [2 * sum(x * b for x, b in zip(row, scaled)) for row in sys.weights.right_inverse]
+    inverse = sys.weight_matrix.right_inverse
+    star = [2 * sum(x * b for x, b in zip(row, scaled)) for row in inverse]
     xi = sys.xi.xi
     # c_min = lo_num / (den lo_den) and c_max = hi_num / (den hi_den), lo_den, hi_den > 0
     lo_num = lo_den = hi_num = hi_den = None
@@ -477,7 +478,7 @@ def _verdict(beta, morse: MorseReport, counts: dict) -> ChartVerdict:
 
 
 def connectivity_report(
-    sys: FamilySystem,
+    sys: SystemSpec,
     beta_grid,
     c_count: int = 21,
     resolution: int = 512,

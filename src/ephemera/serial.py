@@ -21,7 +21,7 @@ from jsonschema.exceptions import best_match
 
 from .classifier import BlockData, SingularityReport, local_model_system
 from .errors import ParseError
-from .family import FamilySystem, PolarPoint, build_family
+from .family import PolarPoint, build_family
 from .fiberlab import ChartVerdict, ConnectivityReport
 from .jets import InvariantPolynomial, RationalComplex, c_complex
 from .lattice import DefiningVector, WeightMatrix
@@ -103,10 +103,10 @@ def _schema_error(data, name: str):
 def load_system_spec(data: dict):
     """Validate a spec dict and build the system it describes.
 
-    Returns (system_or_family, points).  Family entries give a
-    FamilySystem; local-model entries give a SystemSpec on the slice.
-    Every listed point must have one finite coordinate per system
-    coordinate.
+    Returns (system, points), a SystemSpec and PolarPoints.  Family
+    entries give the system of build_family, whose g is Im P (g_terms are
+    refused); local-model entries give a system on the slice.  Every
+    listed point must have one finite coordinate per system coordinate.
     """
     error = _schema_error(data, "system_spec.schema.json")
     if error is not None:
@@ -114,6 +114,8 @@ def load_system_spec(data: dict):
     name = data["name"]
     points = [parse_point(p) for p in data.get("points", [])]
     if data["kind"] == "family":
+        if "g_terms" in data:
+            raise ParseError("g_terms are not supported on a family spec: its g is Im P")
         weights = WeightMatrix(tuple(tuple(row) for row in data["weights"]))
         system = build_family(weights, name=name)
         if "xi" in data and tuple(data["xi"]) != system.xi.xi:
@@ -137,11 +139,11 @@ def load_system_spec(data: dict):
             raise ParseError(f"point {i} has a non-finite coordinate")
     # finite input may still overflow; (coefficient scale * (2 max(1, |z|))^deg)^2
     # bounds every squared value: deg >= 2 covers Phi, 2^deg the Taylor factors
-    g = (system.system if isinstance(system, FamilySystem) else system).g
-    degree = max([2] + [sum(a) + sum(b) for a, b in g.terms])
+    terms = system.g.terms
+    degree = max([2] + [sum(a) + sum(b) for a, b in terms])
     radius = max([1.0] + [r for point in points for r in point.r])
     try:
-        scale = max([1.0] + [abs(c_complex(c)) for c in g.terms.values()])
+        scale = max([1.0] + [abs(c_complex(c)) for c in terms.values()])
         bound = (scale * (2.0 * radius) ** degree) ** 2
     except OverflowError:
         bound = math.inf

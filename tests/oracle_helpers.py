@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from ephemera.classifier import SystemSpec
-from ephemera.family import FamilySystem, PolarPoint, _check_conditions, eval_polar
+from ephemera.family import PolarPoint, _check_conditions, eval_polar
 from ephemera.jets import (
     ChartFunction,
     InvariantPolynomial,
@@ -105,7 +105,7 @@ def phi_Y(model: SystemSpec, pt: ModelPoint) -> np.ndarray:
     return np.concatenate([np.asarray(pt.alpha, dtype=float), model.phi(pt.z)])
 
 
-def family_hessian(sys: FamilySystem, w: PolarPoint) -> np.ndarray:
+def family_hessian(sys: SystemSpec, w: PolarPoint) -> np.ndarray:
     """Hessian of g - Phi^mu at a closed-form critical point, polar coords.
 
     Basis order (theta_j..., r_j...) over the non-vanishing coordinates.
@@ -154,7 +154,7 @@ def bisection_profile_root(chart) -> float:
     return mid
 
 
-def hessian_profile_values(sys: FamilySystem, w: PolarPoint) -> tuple[float, float]:
+def hessian_profile_values(sys: SystemSpec, w: PolarPoint) -> tuple[float, float]:
     """The two diagonal quadratic-form values of the critical Hessian.
 
     Evaluated on the angle vector (xi_j) and the radius vector (xi_j / r_j);
@@ -172,7 +172,7 @@ def hessian_profile_values(sys: FamilySystem, w: PolarPoint) -> tuple[float, flo
 
 
 def support_pattern_point(
-    sys: FamilySystem, support, rng, critical: bool = False
+    sys: SystemSpec, support, rng, critical: bool = False
 ) -> PolarPoint:
     """Random point with exact zeros on the given support.
 
@@ -180,7 +180,7 @@ def support_pattern_point(
     one angle and one radius are solved so both closed-form residuals
     vanish; requires mixed exponent signs among the free coordinates.
     """
-    n = sys.n
+    n = sys.coords
     support = sorted(set(support))
     r = [0.0 if i in support else float(rng.uniform(0.5, 2.0)) for i in range(n)]
     theta = [float(rng.uniform(0.0, 2.0 * np.pi)) for _ in range(n)]

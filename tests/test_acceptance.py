@@ -4,15 +4,20 @@ Each test prints one PASS line on success (run with -s or check captured
 output); a failure raises before the line prints.
 """
 
+import contextlib
 import itertools
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ephemera.classifier import (
     RANK_TOL,
     classify_point,
+    classify_points,
     local_model_system,
 )
 from ephemera.family import (
@@ -45,6 +50,7 @@ from ephemera.localmodel import (
 from oracle_helpers import (
     family_hessian,
     hessian_profile_values,
+    mat_mul,
     pullback_rotation,
     radius_power,
     scale,
@@ -160,8 +166,8 @@ def test_criterion_5_family_reproduction():
     for fam in (FAMILY_11M1, FAMILY_21M1):
         patterns = [
             s
-            for k in range(fam.n + 1)
-            for s in itertools.combinations(range(fam.n), k)
+            for k in range(fam.coords + 1)
+            for s in itertools.combinations(range(fam.coords), k)
         ]
         for support in patterns:
             mismatches = 0
@@ -169,12 +175,12 @@ def test_criterion_5_family_reproduction():
                 critical = not support and trial % 5 == 0
                 w = support_pattern_point(fam, support, rng, critical=critical)
                 if classify_family_point(fam, w) != classify_point(
-                    fam.system, w.to_complex()
+                    fam, w.to_complex()
                 ).label:
                     mismatches += 1
             assert mismatches == 0, (fam.xi.xi, support)
     # the closed-form critical point with its stated invariants
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     c1, c2 = singularity_conditions(FAMILY_11M1, CATALOG_POINT)
     assert abs(c1) <= 1e-12 and abs(c2) <= 1e-12
     report = classify_point(sys, CATALOG_POINT.to_complex())
@@ -210,7 +216,7 @@ def test_criterion_6_derivative_checks():
             rm = list(w.r)
             rp[j] += h
             rm[j] -= h
-            for a, row in enumerate(fam.weights.entries):
+            for a, row in enumerate(fam.weights):
                 fd = (
                     0.5 * sum(row[k] * rp[k] ** 2 for k in range(3))
                     - 0.5 * sum(row[k] * rm[k] ** 2 for k in range(3))
@@ -239,15 +245,15 @@ def test_criterion_6_derivative_checks():
         for _ in range(10):
             w = support_pattern_point(fam, (), rng, critical=True)
             hess = family_hessian(fam, w)
-            rep = classify_point(fam.system, w.to_complex())
+            rep = classify_point(fam, w.to_complex())
             assert rep.critical_mod_phi
             mu = np.array(rep.multiplier)
 
             def g_tilde(radii, angles):
                 z = np.asarray(radii) * np.exp(1j * np.asarray(angles))
-                return fam.system.g_value(z) - float(mu @ fam.system.phi(z))
+                return fam.g_value(z) - float(mu @ fam.phi(z))
 
-            n = fam.n
+            n = fam.coords
             for a in range(n):
                 for b in range(n):
                     fd = _mixed_second(
@@ -327,9 +333,9 @@ def test_criterion_8_rotation_invariance():
 def test_criterion_9_eigenvalue_symmetry():
     started = time.perf_counter()
     cases = [
-        (FAMILY_11M1.system, CATALOG_POINT.to_complex()),
-        (FAMILY_11M1.system, np.array([0, 0, 1.0], complex)),
-        (FAMILY_21M1.system, np.array([0, 0, 1.0], complex)),
+        (FAMILY_11M1, CATALOG_POINT.to_complex()),
+        (FAMILY_11M1, np.array([0, 0, 1.0], complex)),
+        (FAMILY_21M1, np.array([0, 0, 1.0], complex)),
         (local_model_system((2,)), np.zeros(1, complex)),
         (local_model_system((1, 1)), np.zeros(2, complex)),
         (local_model_system((2, 1)), np.zeros(2, complex)),
@@ -366,8 +372,8 @@ def test_generated_family_label_gate():
     checked, critical_points = 0, 0
     for fam in families:
         mixed = min(fam.xi.xi) < 0 < max(fam.xi.xi)
-        for k in range(fam.n + 1):
-            for support in itertools.combinations(range(fam.n), k):
+        for k in range(fam.coords + 1):
+            for support in itertools.combinations(range(fam.coords), k):
                 for trial in range(10):
                     critical = mixed and not support and trial % 5 == 0
                     try:
@@ -375,10 +381,106 @@ def test_generated_family_label_gate():
                     except ValueError:  # no positive radial sum to solve against
                         critical = False
                         w = support_pattern_point(fam, support, rng)
-                    generic = classify_point(fam.system, w.to_complex()).label
+                    generic = classify_point(fam, w.to_complex()).label
                     assert classify_family_point(fam, w) == generic, (
-                        fam.weights.entries, support, w)
+                        fam.weights, support, w)
                     checked += 1
                     critical_points += critical
     assert critical_points > 0
     _budget(started, 15.0, f"generated-family label gate ({checked} points)")
+
+
+# Symmetry gate: the paper's objects do not depend on a point's place on
+# its torus orbit or on a basis of the torus, so neither may the labels or
+# the scans, on any g.  Seeded generated families, every support pattern.
+
+
+@st.composite
+def _family_and_points(draw):
+    """A family on C^n (n in {3, 4}, weight entries in [-2, 2]) and points of
+    every support pattern: three per support, and one closed-form critical
+    point on the open stratum where the exponent signs allow (tall supports
+    of degree 2 and above are critical on their stratum)."""
+    n = draw(st.sampled_from((3, 4)))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    entries = draw(st.lists(row, min_size=n - 1, max_size=n - 1))
+    try:
+        fam = build_family(WeightMatrix(tuple(map(tuple, entries))))
+    except InvalidAction:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = [
+        support_pattern_point(fam, support, rng)
+        for k in range(n + 1)
+        for support in itertools.combinations(range(n), k)
+        for _ in range(3)
+    ]
+    with contextlib.suppress(ValueError):  # no mixed exponent signs to solve with
+        points.append(support_pattern_point(fam, (), rng, critical=True))
+    return fam, np.array([w.to_complex() for w in points])
+
+
+def _labels(sys, z) -> list[str]:
+    return [r.label for r in classify_points(sys, z)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_family_and_points(), st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+def _torus_orbit_block(case, theta):
+    fam, z = case
+    # z_j -> exp(i <w_j, theta>) z_j, with w_j the j-th weight column
+    turned = z * np.exp(1j * (np.array(theta[: fam.torus_dim]) @ fam.weight_array))
+    assert _labels(fam, turned) == _labels(fam, z)
+
+
+def test_symmetry_torus_orbit_leaves_labels_unchanged():
+    started = time.perf_counter()
+    _torus_orbit_block()
+    _budget(started, 10.0, "symmetry: labels constant on torus orbits")
+
+
+def _unimodular(data, d: int) -> list[list[int]]:
+    """A d x d integer matrix of determinant +-1: row additions with
+    multipliers in [-2, 2], and sign flips where a row meets itself."""
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        k = data.draw(st.integers(-2, 2))
+        u[i] = [-a for a in u[i]] if i == j else [a + k * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def _scan_data(report) -> list:
+    """Each chart's verdict, Morse data and level counts, its target aside."""
+    return [replace(chart, beta=()) for chart in report.charts]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_family_and_points(), st.data())
+def _basis_change_block(case, data):
+    fam, z = case
+    u = _unimodular(data, fam.torus_dim)
+    changed = build_family(WeightMatrix(mat_mul(u, fam.weights)))
+    assert changed.xi == fam.xi
+    assert _labels(changed, z) == _labels(fam, z)
+    if not fam.proper:
+        return
+    # targets (1/2) W s over positive squared radii s, and arbitrary ones
+    # that may miss the moment image; W -> U W moves the target to U beta
+    part = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)
+    radii = data.draw(st.lists(st.lists(part, min_size=fam.coords, max_size=fam.coords),
+                               min_size=1, max_size=3))
+    betas = [[sum(w * x for w, x in zip(row, s)) / 2 for row in fam.weights] for s in radii]
+    free = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    betas += data.draw(st.lists(st.lists(free, min_size=fam.torus_dim,
+                                         max_size=fam.torus_dim), max_size=2))
+    moved = [[sum(a * b for a, b in zip(row, beta)) for row in u] for beta in betas]
+    options = dict(c_count=5, resolution=64, synthetic_check=False)
+    assert _scan_data(connectivity_report(changed, moved, **options)) == _scan_data(
+        connectivity_report(fam, betas, **options))
+
+
+def test_symmetry_basis_change_leaves_labels_and_scans_unchanged():
+    started = time.perf_counter()
+    _basis_change_block()
+    _budget(started, 10.0, "symmetry: labels and scans constant under W -> U W")

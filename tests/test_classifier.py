@@ -62,14 +62,27 @@ def test_system_rejects_noninvariant_g():
         {((1, 0, 0), (0, 0, 0)): RationalComplex.of(1)}, FAMILY_11M1.xi
     )
     with pytest.raises(NotInvariant):
-        SystemSpec(weights=FAMILY_11M1.weights.entries, xi=FAMILY_11M1.xi, g=bad)
+        SystemSpec(weights=FAMILY_11M1.weights, xi=FAMILY_11M1.xi, g=bad)
+
+
+def test_family_spec_is_its_weight_matrix_with_g_im_p():
+    from ephemera.errors import NotInvariant
+
+    w, xi = FAMILY_11M1.weight_matrix, FAMILY_11M1.xi
+    radial = FAMILY_11M1.g + radius_power(xi, 1)
+    with pytest.raises(NotInvariant):
+        SystemSpec(weights=w.entries, xi=xi, g=radial, weight_matrix=w)
+    with pytest.raises(InvalidAction):
+        SystemSpec(weights=FAMILY_21M1.weights, xi=xi, g=FAMILY_11M1.g, weight_matrix=w)
+    # without a weight matrix the same g is a system, and never a proper one
+    assert FAMILY_11M1.proper and not SystemSpec(weights=w.entries, xi=xi, g=radial).proper
 
 
 def test_g_invariant_along_orbits():
     # sampling oracle: g is constant along torus orbits to 1e-9
     rng = np.random.default_rng(22)
     for fam in (FAMILY_11M1, FAMILY_21M1):
-        sys = fam.system
+        sys = fam
         for _ in range(50):
             z = rng.normal(size=3) + 1j * rng.normal(size=3)
             base = sys.g_value(z)
@@ -90,7 +103,7 @@ def test_support_detection():
 
 def test_gradient_and_hessian_match_finite_differences():
     rng = np.random.default_rng(9)
-    sys = FAMILY_21M1.system
+    sys = FAMILY_21M1
     for _ in range(25):
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
         x = np.empty(6)
@@ -119,7 +132,7 @@ def test_gradient_and_hessian_match_finite_differences():
 
 def test_dphi_matches_finite_differences():
     rng = np.random.default_rng(10)
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     for _ in range(10):
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
         x = np.empty(6)
@@ -141,8 +154,7 @@ def _moment_map_systems() -> list[SystemSpec]:
     systems = []
     for name in CATALOG_NAMES:
         raw = resources.files("ephemera").joinpath("data", f"{name}.json").read_bytes()
-        system = load_spec_bytes(raw, name)[0]
-        systems.append(getattr(system, "system", system))
+        systems.append(load_spec_bytes(raw, name)[0])
     return systems + [
         local_model_system(xi, name=str(xi)) for xi in ((1, 1), (2, 1), (3, 1, 2), (4,))
     ]
@@ -181,7 +193,7 @@ def test_moment_map_matches_its_definitions(sys):
 
 
 def test_catalog_point_is_critical():
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     z = CATALOG_POINT.to_complex()
     assert classify_point(sys, z).critical_mod_phi is True
     # same radii, zero angles: the angle residual is 1, not critical
@@ -192,7 +204,7 @@ def test_catalog_point_is_critical():
 
 
 def test_lagrange_multiplier_catalog_value():
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     z = CATALOG_POINT.to_complex()
     mu = np.array(classify_point(sys, z).multiplier)
     assert np.allclose(mu, [1.0, 1.0], atol=1e-9)
@@ -206,7 +218,7 @@ def test_lagrange_multiplier_catalog_value():
 
 def test_multiplier_zero_at_fixed_point():
     # at a torus fixed point with vanishing dg the multiplier is zero
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     mu = classify_point(sys, np.zeros(3, dtype=complex)).multiplier
     assert np.allclose(mu, 0.0)
 
@@ -214,7 +226,7 @@ def test_multiplier_zero_at_fixed_point():
 def test_multiplier_zero_for_zero_g():
     zero_g = InvariantPolynomial(terms={}, xi=FAMILY_11M1.xi)
     sys = SystemSpec(
-        weights=FAMILY_11M1.weights.entries, xi=FAMILY_11M1.xi, g=zero_g
+        weights=FAMILY_11M1.weights, xi=FAMILY_11M1.xi, g=zero_g
     )
     rng = np.random.default_rng(11)
     z = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -222,7 +234,7 @@ def test_multiplier_zero_for_zero_g():
 
 
 def test_catalog_point_elliptic_blocks():
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     rep = classify_point(sys, CATALOG_POINT.to_complex())
     assert _degenerate(rep) is False
     assert [b.kind for b in rep.blocks] == ["elliptic"]
@@ -255,7 +267,7 @@ def test_block_oracle_on_local_models():
 def test_eigenvalue_symmetry_catalog():
     # spectra close under negation and conjugation (linearized flows are Hamiltonian)
     points = [
-        (FAMILY_11M1.system, CATALOG_POINT.to_complex()),
+        (FAMILY_11M1, CATALOG_POINT.to_complex()),
         (local_model_system((1, 1)), np.zeros(2, complex)),
         (local_model_system((2,)), np.zeros(1, complex)),
         (local_model_system((3, 2)), np.zeros(2, complex)),
@@ -273,7 +285,7 @@ def test_eigenvalue_symmetry_catalog():
 
 
 def test_classify_point_labels():
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     assert classify_point(sys, CATALOG_POINT.to_complex()).label == "purely-elliptic"
     rng = np.random.default_rng(12)
     z = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -283,7 +295,7 @@ def test_classify_point_labels():
     assert rep.label == "nondegenerate-ephemeral(focus-focus)"
     assert rep.tall and rep.degree_N == 2
     # the cubic family: same support now carries degree-3 slice data
-    rep = classify_point(FAMILY_21M1.system, np.array([0.0, 0.0, 1.0], dtype=complex))
+    rep = classify_point(FAMILY_21M1, np.array([0.0, 0.0, 1.0], dtype=complex))
     assert rep.label == "degenerate-ephemeral"
     assert rep.degree_N == 3
     assert rep.diagnostics["degree2_taylor_vanishes"] is True
@@ -306,8 +318,8 @@ def test_classify_local_models():
 def test_report_invariants():
     # ephemeral labels imply tall and degree > 1
     systems = [
-        (FAMILY_11M1.system, np.array([0.0, 0.0, 1.0], complex)),
-        (FAMILY_21M1.system, np.array([0.0, 0.0, 1.0], complex)),
+        (FAMILY_11M1, np.array([0.0, 0.0, 1.0], complex)),
+        (FAMILY_21M1, np.array([0.0, 0.0, 1.0], complex)),
         (local_model_system((2,)), np.zeros(1, complex)),
         (local_model_system((4,)), np.zeros(1, complex)),
     ]
@@ -320,8 +332,8 @@ def test_report_invariants():
 def test_trichotomy_on_catalog():
     # nondegenerate tall critical points carry exactly one of the three labels
     tall_critical = [
-        classify_point(FAMILY_11M1.system, CATALOG_POINT.to_complex()),
-        classify_point(FAMILY_11M1.system, np.array([0, 0, 1.0], complex)),
+        classify_point(FAMILY_11M1, CATALOG_POINT.to_complex()),
+        classify_point(FAMILY_11M1, np.array([0, 0, 1.0], complex)),
         classify_point(local_model_system((2,)), np.zeros(1, complex)),
         classify_point(local_model_system((1, 1)), np.zeros(2, complex)),
     ]
@@ -336,7 +348,7 @@ def test_trichotomy_on_catalog():
 
 
 def test_fiber_verdicts():
-    eph = classify_point(FAMILY_21M1.system, np.array([0, 0, 1.0], complex))
+    eph = classify_point(FAMILY_21M1, np.array([0, 0, 1.0], complex))
     verdict = fiber_verdicts([eph, eph, eph])
     assert verdict.connectivity_expected is True
     assert verdict.obstruction is True  # three orbits of slice degree 3
@@ -344,7 +356,7 @@ def test_fiber_verdicts():
     two = fiber_verdicts([eph, eph])
     assert two.obstruction is False
     # synthetic hyperbolic-connected entry flips the connectivity verdict
-    fake = classify_point(FAMILY_11M1.system, CATALOG_POINT.to_complex())
+    fake = classify_point(FAMILY_11M1, CATALOG_POINT.to_complex())
     fake.label = "hyperbolic-connected"
     assert fiber_verdicts([fake]).connectivity_expected is False
 
@@ -366,10 +378,10 @@ def _generated_tall_reports() -> tuple:
     reports = []
     for fam in families:
         points = [support_pattern_point(fam, support, rng).to_complex()
-                  for k in range(fam.n + 1)
-                  for support in itertools.combinations(range(fam.n), k)
+                  for k in range(fam.coords + 1)
+                  for support in itertools.combinations(range(fam.coords), k)
                   for _ in range(2)]
-        reports += [r for r in classify_points(fam.system, points) if r.tall]
+        reports += [r for r in classify_points(fam, points) if r.tall]
     return tuple(reports)
 
 
@@ -409,7 +421,7 @@ def test_stabilizer_slice_matches_snf_oracle_on_generated_weights():
     # oracle: the stabilizer has as many components as the product of the
     # nonzero Smith invariants of the weights of the non-vanishing coordinates
     for w in generated_weight_matrices(60, seed=4):
-        system = build_family(w).system
+        system = build_family(w)
         for k in range(w.n + 1):
             for support in itertools.combinations(range(w.n), k):
                 s = stabilizer_slice(system, support)
@@ -432,7 +444,7 @@ def test_stabilizer_slice_matches_snf_oracle_on_generated_weights():
 
 def test_slice_basis_choice_does_not_change_labels():
     # classification is stable under a rescaled ambient metric on the slice
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     z = CATALOG_POINT.to_complex()
     assert classify_point(sys, z).label == "purely-elliptic"
     # perturb the point along the orbit: the label must be unchanged
@@ -455,7 +467,7 @@ def test_regular_mod_phi_points_have_degree_one_models():
         for support in [(0,), (1,), (2,), (0, 2), (1, 2)]:
             for _ in range(20):
                 w = support_pattern_point(fam, support, rng)
-                rep = classify_point(fam.system, w.to_complex())
+                rep = classify_point(fam, w.to_complex())
                 if rep.label == "regular-mod-phi-elliptic":
                     assert rep.tall is True
                     assert rep.degree_N == 1
@@ -489,7 +501,7 @@ def test_trichotomy_transition_under_elliptic_perturbation():
 def test_block_typing_invariant_under_multiplier_shift():
     # the multiplier is unique only modulo the stabilizer algebra; shifting
     # by a stabilizer generator must not change block types
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     z = np.array([0.0, 0.0, 1.0], dtype=complex)
     rep = classify_point(sys, z)
     mu = np.array(rep.multiplier)
@@ -524,7 +536,7 @@ def test_classify_point_derives_each_quantity_once(monkeypatch):
         (ephemera.classifier, "stabilizer_slice"),
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    sys = FAMILY_11M1.system
+    sys = FAMILY_11M1
     flat = PolarPoint(r=CATALOG_POINT.r, theta=(0.0, 0.0, 0.0))
     for z, critical in (
         (CATALOG_POINT.to_complex(), True),
@@ -571,7 +583,7 @@ def _derivative_systems() -> list[SystemSpec]:
     return (
         _moment_map_systems()
         + [local_model_system((2,), name="(2,)")]
-        + [build_family(w).system for w in generated_weight_matrices(12, seed=31)]
+        + [build_family(w) for w in generated_weight_matrices(12, seed=31)]
         + [
             local_model_system(xi, g=dense, name="dense"),
             local_model_system(
@@ -621,7 +633,7 @@ def test_derivatives_of_g_are_built_once_per_spec(monkeypatch):
     made = []
     for batch in (points[:1], points):
         counts.clear()
-        sys = SystemSpec(weights=FAMILY_21M1.system.weights, xi=FAMILY_21M1.xi, g=FAMILY_21M1.system.g)
+        sys = SystemSpec(weights=FAMILY_21M1.weights, xi=FAMILY_21M1.xi, g=FAMILY_21M1.g)
         for z in batch:
             classify_point(sys, z)
         made.append(counts["wirtinger"])
@@ -642,7 +654,7 @@ def test_memoised_stabilizer_slice_matches_a_fresh_spec():
     # new SystemSpec (empty memo) that computes that support alone
     rng = np.random.default_rng(34)
     systems = _moment_map_systems() + [
-        build_family(w).system for w in generated_weight_matrices(30, seed=35)
+        build_family(w) for w in generated_weight_matrices(30, seed=35)
     ]
     for sys in systems:
         k = sys.coords
@@ -711,8 +723,7 @@ def _batch_cases() -> list[tuple[SystemSpec, list]]:
     for name in CATALOG_NAMES:
         raw = resources.files("ephemera").joinpath("data", f"{name}.json").read_bytes()
         system, listed = load_spec_bytes(raw, name)[:2]
-        sys = getattr(system, "system", system)
-        cases.append((sys, [w.to_complex() for w in listed]))
+        cases.append((system, [w.to_complex() for w in listed]))
     for xi in ((1, 1), (2, 1), (3, 1, 2), (4,)):
         cases.append((local_model_system(xi), [np.zeros(len(xi), complex)]))
     families = [FAMILY_11M1, FAMILY_21M1] + [
@@ -725,7 +736,7 @@ def _batch_cases() -> list[tuple[SystemSpec, list]]:
                 critical.append(support_pattern_point(fam, (), rng, critical=True).to_complex())
             except ValueError:  # exponents of one sign: no critical open point
                 break
-        cases.append((fam.system, critical))
+        cases.append((fam, critical))
     out = []
     for sys, extra in cases:
         points = _points_of_every_support(sys, rng) + extra
@@ -783,7 +794,7 @@ def test_classify_points_matches_classify_point():
     assert seen["critical"] > 50
     assert {"regular", "regular-mod-phi-elliptic", "purely-elliptic"} <= set(seen)
     assert any(label in seen for label in ephemera.classifier.EPHEMERAL_LABELS)
-    assert ephemera.classifier.classify_points(FAMILY_11M1.system, []) == []
+    assert ephemera.classifier.classify_points(FAMILY_11M1, []) == []
 
 
 def test_every_shape_follows_the_stabilizer_of_the_support():
@@ -798,7 +809,7 @@ def test_every_shape_follows_the_stabilizer_of_the_support():
     ]
     seen = Counter()
     for fam in families:
-        sys = fam.system
+        sys = fam
         points = _points_of_every_support(
             sys, rng, per_support=1, scales=(1e-12, 3e-10, 1e-9, 3e-9, 1e-8)
         )
@@ -838,7 +849,7 @@ def test_symplectic_slice_matches_orbit_complement_oracle():
     # 1e-9 included)
     rng = np.random.default_rng(40)
     systems = _moment_map_systems() + [
-        build_family(w).system for w in generated_weight_matrices(12, seed=41)
+        build_family(w) for w in generated_weight_matrices(12, seed=41)
     ]
     dims = Counter()
     for sys in systems:
@@ -874,7 +885,7 @@ def test_classify_points_derives_once_per_support_group(monkeypatch):
     rng = np.random.default_rng(39)
     supports = ((), (0,), (1,), (0, 1), (2,)) * 10
     points = [support_pattern_point(FAMILY_21M1, s, rng).to_complex() for s in supports]
-    reports = ephemera.classifier.classify_points(FAMILY_21M1.system, points)
+    reports = ephemera.classifier.classify_points(FAMILY_21M1, points)
     assert [r.support for r in reports] == list(supports)
     assert counts == {"dphi": 5, "grad_g": 5, "_kernel_of": 5, "stabilizer_slice": 5}
 
@@ -892,7 +903,7 @@ def test_near_zero_coordinates_are_classified_on_their_stratum():
     ]
     seen = Counter()
     for fam in families:
-        sys = fam.system
+        sys = fam
         k = sys.coords
         near, exact = [], []
         for m in range(1, k + 1):

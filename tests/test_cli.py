@@ -167,14 +167,13 @@ def test_cli_classify_catalog_point():
 
 
 def test_load_spec_file_helper(tmp_path):
-    from ephemera.family import FamilySystem
     from ephemera.serial import load_spec_file
 
     spec = tmp_path / "fam.json"
     payload = {"name": "fam", "kind": "family", "weights": [[1, 0, 1], [0, 1, 1]]}
     spec.write_text(json.dumps(payload))
     system, points, digest = load_spec_file(str(spec))
-    assert isinstance(system, FamilySystem)
+    assert system.weight_matrix.entries == ((1, 0, 1), (0, 1, 1)) and system.proper
     assert points == []
     assert len(digest) == 64
     with pytest.raises(ParseError):
@@ -233,8 +232,32 @@ def test_cli_fiber_scan_rejects_non_proper(tmp_path):
     spec.write_text(
         json.dumps({"name": "flat", "kind": "family", "weights": [[1, -1]]})
     )
-    result = run_cli(["fiber-scan", str(spec)])
+    # one weight row, so a one-axis grid: the refusal is the properness check's
+    result = run_cli(["fiber-scan", str(spec), "--beta-grid=1:2:2"])
     assert result.returncode == 2
+    assert "proper" in result.stderr
+
+
+@pytest.mark.parametrize("name, grid", [("ex2_pq", "1:2:2"), ("ex1_zN", None)])
+def test_cli_fiber_scan_refuses_a_local_model(name, grid, capsys):
+    # ex2_pq has one weight row, so its own axis count is one; ex1_zN has
+    # none (its stabilizer is finite), which no grid can state, and the
+    # refusal comes before the axis count is checked
+    assert main(["fiber-scan", name] + ([f"--beta-grid={grid}"] if grid else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fiber-scan needs a family spec")
+
+
+def test_cli_refuses_g_terms_on_a_family_spec(tmp_path, capsys):
+    spec = {"name": "radial", "kind": "family", "weights": [[1, 0, 1], [0, 1, 1]],
+            "g_terms": [{"a": [1, 0, 0], "b": [1, 0, 0], "c": "3"}],
+            "points": [{"r": [1, 0, 0], "theta": [0, 0, 0]}]}
+    path = tmp_path / "radial.json"
+    path.write_text(json.dumps(spec))
+    for command in ("classify", "ephemeral-test", "fiber-scan"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "g_terms" in err, command
 
 
 def test_cli_fiber_scan_csv(tmp_path):
@@ -427,10 +450,9 @@ def test_ephemeral_test_entries_match_the_slice_data(tmp_path):
         system, listed = load_spec_bytes(raw, str(path))[:2]
         assert main(["ephemeral-test", str(path), "--out", str(out)]) == 0
         entries = json.loads(out.read_text())["ephemeral_tests"]
-        spec = getattr(system, "system", system)
         assert len(entries) == len(listed)
         for entry, w in zip(entries, listed):
-            want = _reference_ephemeral_entry(spec, w)
+            want = _reference_ephemeral_entry(system, w)
             assert json.dumps(entry) == json.dumps(want), (i, w)
             seen[want.get("reason", (want.get("vanishes_below_degree"), want["ephemeral"]))] += 1
     assert set(seen) == {
@@ -955,7 +977,7 @@ def test_bench_trace_sees_every_classifier_stage():
     # private core behind the public name, would drop out of the trace
     tracing = _bench_tracing()
     family, points = load_system_spec(json.loads(catalog_path("family_11m1")))
-    cases = [(family.system, w.to_complex()) for w in points]
+    cases = [(family, w.to_complex()) for w in points]
     cases.append((local_model_system((2, 1)), np.zeros(2, complex)))  # tall, N = 3
     tracer = tracing.Tracer()
     tracer.install()

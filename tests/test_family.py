@@ -58,7 +58,7 @@ def test_polar_cartesian_agreement():
                 theta=tuple(rng.uniform(0, 2 * np.pi, size=3)),
             )
             _, g_polar = eval_polar(fam, w)
-            g_cart = fam.system.g_value(w.to_complex())
+            g_cart = fam.g_value(w.to_complex())
             assert abs(g_polar - g_cart) <= 1e-12 * (1 + abs(g_polar))
 
 
@@ -90,7 +90,7 @@ def test_family_hessian_matches_finite_differences():
             c1, c2 = singularity_conditions(fam, w)
             assert abs(c1) <= 1e-9 and abs(c2) <= 1e-9
             hess = family_hessian(fam, w)
-            mu_sys = fam.system
+            mu_sys = fam
             rep = classify_point(mu_sys, w.to_complex())
             assert rep.critical_mod_phi
             mu = np.array(rep.multiplier)
@@ -99,7 +99,7 @@ def test_family_hessian_matches_finite_differences():
                 z = np.asarray(rr) * np.exp(1j * np.asarray(tt))
                 return mu_sys.g_value(z) - float(mu @ mu_sys.phi(z))
 
-            n = fam.n
+            n = fam.coords
             h = 1e-5
             for a in range(n):
                 for b in range(n):
@@ -158,7 +158,7 @@ def test_gradient_formulas_match_finite_differences():
             h = 1e-5
             for j in range(3):
                 # moment map: d(phi_a) = eta_a_j r_j dr_j
-                for a, row in enumerate(fam.weights.entries):
+                for a, row in enumerate(fam.weights):
                     fd = (
                         _phi_at(fam, _bump(w.r, [(j, h)]), a)
                         - _phi_at(fam, _bump(w.r, [(j, -h)]), a)
@@ -181,12 +181,12 @@ def test_gradient_formulas_match_finite_differences():
 
 def _phi_at(fam, radii, a):
     return 0.5 * sum(
-        fam.weights.entries[a][j] * radii[j] ** 2 for j in range(fam.n)
+        fam.weights[a][j] * radii[j] ** 2 for j in range(fam.coords)
     )
 
 
 def slice_data_at(fam, w):
-    return slice_data(fam.system, w.to_complex(), w.support)
+    return slice_data(fam, w.to_complex(), w.support)
 
 
 def test_slice_data_examples():
@@ -240,8 +240,8 @@ def test_family_agrees_with_generic_classifier():
     for fam in (FAM, FAM_CUBIC):
         patterns = [
             s
-            for k in range(fam.n + 1)
-            for s in itertools.combinations(range(fam.n), k)
+            for k in range(fam.coords + 1)
+            for s in itertools.combinations(range(fam.coords), k)
         ]
         for support in patterns:
             for trial in range(per_pattern):
@@ -251,7 +251,7 @@ def test_family_agrees_with_generic_classifier():
                 except ValueError:
                     continue
                 closed = classify_family_point(fam, w)
-                generic = classify_point(fam.system, w.to_complex()).label
+                generic = classify_point(fam, w.to_complex()).label
                 assert closed == generic, (fam.xi.xi, support, w, closed, generic)
 
 
@@ -263,7 +263,7 @@ def test_family_agrees_with_generic_classifier():
 )
 def test_high_degree_tall_point_agrees_with_generic_classifier():
     w = HIGH_DEGREE_TALL_POINT
-    assert classify_point(FAM_HIGH_DEGREE.system, w.to_complex()).label == (
+    assert classify_point(FAM_HIGH_DEGREE, w.to_complex()).label == (
         classify_family_point(FAM_HIGH_DEGREE, w)
     )
 
@@ -278,7 +278,7 @@ def test_agreement_with_zero_weight_coordinate():
     assert fam.proper is True
     rng = np.random.default_rng(21)
     patterns = [
-        s for k in range(fam.n + 1) for s in itertools.combinations(range(fam.n), k)
+        s for k in range(fam.coords + 1) for s in itertools.combinations(range(fam.coords), k)
     ]
     seen = set()
     for support in patterns:
@@ -289,7 +289,7 @@ def test_agreement_with_zero_weight_coordinate():
             except ValueError:
                 continue
             closed = classify_family_point(fam, w)
-            generic = classify_point(fam.system, w.to_complex()).label
+            generic = classify_point(fam, w.to_complex()).label
             assert closed == generic, (support, w, closed, generic)
             seen.add(closed)
     assert "purely-elliptic" in seen
@@ -311,7 +311,7 @@ def test_high_degree_open_stratum_points_are_regular():
             theta=tuple(rng.uniform(0.0, 2.0 * np.pi, 4)),
         )
         assert classify_family_point(fam, w) == "regular"
-        assert classify_point(fam.system, w.to_complex()).label == "regular", w
+        assert classify_point(fam, w.to_complex()).label == "regular", w
 
 
 def test_family_hessian_on_zero_exponent_support():
@@ -333,7 +333,7 @@ def test_family_hessian_on_zero_exponent_support():
         xi = fam.xi.xi
         expected_theta = -sum(xi[j] ** 2 for j in moving) ** 2 * g_w
         assert theta_val == pytest.approx(expected_theta, rel=1e-10)
-        rep = classify_point(fam.system, w.to_complex())
+        rep = classify_point(fam, w.to_complex())
         assert rep.label == "purely-elliptic"
 
 

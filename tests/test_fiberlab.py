@@ -48,7 +48,7 @@ def test_segment_solve_exact():
             float(a) + (float(b) - float(a)) * t
             for a, b in zip(chart.s_start, chart.s_end)
         ]
-        for a, row in enumerate(FAM.weights.entries):
+        for a, row in enumerate(FAM.weights):
             assert 0.5 * sum(row[j] * s[j] for j in range(3)) == pytest.approx(
                 chart.beta[a]
             )
@@ -161,7 +161,7 @@ def _proper_family_charts(draw, sizes=(3, 4, 2)):
     radius = st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16)
     charts = []
     for s in draw(st.lists(st.lists(radius, min_size=n, max_size=n), min_size=1, max_size=3)):
-        beta = [sum(w * x for w, x in zip(r, s)) / 2 for r in fam.weights.entries]
+        beta = [sum(w * x for w, x in zip(r, s)) / 2 for r in fam.weights]
         charts.append(reduced_surface(fam, beta))
     return charts
 
@@ -198,8 +198,8 @@ def _charts_over_positive_radii(fam, seed, count):
     rng = np.random.default_rng(seed)
     charts = []
     for _ in range(count):
-        s = [Fraction(int(x), 16) for x in rng.integers(1, 257, size=fam.n)]
-        beta = [sum(w * x for w, x in zip(row, s)) / 2 for row in fam.weights.entries]
+        s = [Fraction(int(x), 16) for x in rng.integers(1, 257, size=fam.coords)]
+        beta = [sum(w * x for w, x in zip(row, s)) / 2 for row in fam.weights]
         charts.append(reduced_surface(fam, beta))
     return charts
 

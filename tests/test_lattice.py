@@ -29,7 +29,7 @@ from oracle_helpers import fourier_motzkin_proper, mat_det, mat_mul
 
 
 def stabilizer_of(w, support):
-    return stabilizer_slice(build_family(w).system, support)
+    return stabilizer_slice(build_family(w), support)
 
 
 def assert_snf_contract(a):
