@@ -280,18 +280,18 @@ def level_components(charts, levels, resolution: int = 256) -> list[list[int]]:
     and keeps levels and charts from joining, and the whole stack is
     labelled together by min-label hooking with pointer jumping.  Returns,
     per chart, one count per level, in the order given; equal levels are
-    marked alike and get equal counts.
+    marked alike and get equal counts.  A radius profile negative on the
+    grid is refused with ValueError.
     """
     n = max(int(resolution), MIN_RESOLUTION)
     m = max(map(len, levels), default=0)
-    # one +inf column more than the widest count ends every sorted row
-    padded = np.full((len(charts), m + 1), np.inf)
+    padded = np.full((len(charts), m), np.inf)
     for row, chart_levels in zip(padded, levels):
         row[:len(chart_levels)] = chart_levels
     pairs = _crossed_pairs(charts, np.sort(padded, axis=1), n)
     roots = _component_roots(pairs, n, m)
     # each root's chart and level, the level mapped back through the sort
-    order = np.argsort(padded[:, :m], axis=1)
+    order = np.argsort(padded, axis=1)
     slot = roots // (n * n * m) * m
     counts = np.bincount(slot + order.ravel()[slot + roots % m], minlength=order.size)
     return [row[:len(chart_levels)].tolist()
@@ -302,53 +302,68 @@ def _crossed_pairs(charts, ordered, n: int) -> np.ndarray:
     """The sorted numbers (chart n^2 + cell) m + k of the (chart, cell,
     level) pairs whose four corner values straddle level k strictly.
 
-    The stack is one (charts, n + 1, n) grid of corner values, each chart's
-    radius_profile(ts) times sin(psis).  ordered holds each chart's sorted
-    levels, padded with +inf to m + 1.  With below(v) the number of a
-    chart's levels < v and upto(v) the number <= v, lo < c_k < hi holds
-    exactly when upto(lo) <= k < below(hi).  Ranks are monotone, so
-    below(hi) is the largest corner rank and below(lo) the smallest, read
-    from one searchsorted per chart on the narrowest integer dtype that
-    holds m; only a cell whose corner ranks differ can cross a level, and
-    on those upto(lo) steps below(lo) past the levels equal to lo.
+    ordered holds each chart's m sorted levels.  Corner (i, j) has the
+    value R_i sin_j, R = radius_profile(ts) >= 0, and no grid of them is
+    built.  Rounded products with one R_i >= 0 keep the order of the
+    sines, so with sigma_j the rank of sin_j, the corners of row i below
+    c_k are the columns with sigma < below(i, k), and those not above it
+    the columns with sigma < upto(i, k): a search of c_k / R_i among the
+    sorted sines guesses each cut, and exact tests of the products step
+    it there.  Cell (i, j) has a corner below c_k when lo = min(sigma_j,
+    sigma_{j+1 mod n}) < high, the larger below of rows i and i + 1, and
+    one above it when hi = max(sigma_j, sigma_{j+1 mod n}) >= low, the
+    smaller upto: the cells with low <= lo < high, a run in the order of
+    lo, and the few with lo < low <= hi.
     """
-    m = ordered.shape[1] - 1
+    m = ordered.shape[1]
     ts = np.linspace(0.0, 1.0, n + 1)
     sines = np.sin(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
-    values = np.empty((len(charts), n + 1, n))
-    below = np.empty((len(charts), n + 1, n + 1), dtype=np.min_scalar_type(m))
-    for grid, rank, chart, row in zip(values, below, charts, ordered):
-        np.multiply(chart.radius_profile(ts)[:, None], sines, out=grid)
-        rank[:, :n] = np.searchsorted(row, grid)
-    below[:, :, n] = below[:, :, 0]  # psi column 0 again, for the wrap
-    # the smallest and largest rank over each cell's four corners; only a
-    # cell whose two differ can cross a level
-    rank_lo = np.minimum(below[:, :-1], below[:, 1:])
-    rank_hi = np.maximum(below[:, :-1], below[:, 1:])
-    del below
-    rank_lo = np.minimum(rank_lo[:, :, :-1], rank_lo[:, :, 1:]).ravel()
-    rank_hi = np.maximum(rank_hi[:, :, :-1], rank_hi[:, :, 1:]).ravel()
-    cells = np.flatnonzero(rank_hi > rank_lo)
-    # on those, the smallest corner value lo; cell i*n + j of chart k has
-    # its corner (i, j) at flat[k*(n + 1)*n + i*n + j]
-    chart_of = cells // (n * n)
-    corner = cells + chart_of * n
-    flat = values.ravel()
-    right = corner + np.where(cells % n == n - 1, 1 - n, 1)  # corner (i, j + 1 mod n)
-    lo = np.minimum(np.minimum(flat[corner], flat[right]), flat[corner + n])
-    np.minimum(lo, flat[right + n], out=lo)
-    # upto(lo): below(lo) stepped past each level equal to lo
-    first = rank_lo[cells].astype(np.intp)
-    offset = chart_of * (m + 1)
+    by_sine = np.argsort(sines, kind="stable")
+    radii = np.array([chart.radius_profile(ts) for chart in charts]).reshape(-1, 1, n + 1)
+    if (radii < 0).any():
+        raise ValueError("a chart's radius profile is negative; level crossings need R >= 0")
+    levels = ordered[:, :, None]
+    # the sines before and after cut g sit at g and g + 1; the end nans fail every test
+    bounded = np.concatenate([[np.nan], sines[by_sine], [np.nan]])
+    below = np.searchsorted(bounded[1:-1], levels / np.where(radii == 0, 1.0, radii))
+    np.copyto(below, n * (levels > 0), where=radii == 0)
     while True:
-        tied = ordered.take(offset + first) == lo
-        if not tied.any():
+        back = radii * bounded[below] >= levels
+        on = radii * bounded[below + 1] < levels
+        if not (back.any() or on.any()):
             break
-        first += tied
-    # the pairs of a cell are cell*m + upto(lo) .. cell*m + below(hi) - 1, in one run
-    runs = rank_hi[cells] - first
-    pairs = np.repeat(cells * m + first - (np.cumsum(runs) - runs), runs)
-    pairs += np.arange(len(pairs))
+        below += on
+        below -= back
+    upto = np.where(radii == 0, n * (levels >= 0), below)
+    while (on := radii * bounded[upto + 1] <= levels).any():
+        upto += on
+    high = np.maximum(below[..., :-1], below[..., 1:]).ravel()
+    low = np.minimum(upto[..., :-1], upto[..., 1:]).ravel()
+    del below, upto, back, on
+    sigma = np.argsort(by_sine)
+    edge_lo, edge_hi = np.sort([sigma, np.roll(sigma, -1)], axis=0)  # lo and hi of cell column j
+    by_lo = np.argsort(edge_lo, kind="stable")
+    at_rank = np.searchsorted(edge_lo[by_lo], np.arange(n + 1))
+    # the columns with lo < r <= hi of each rank r, padded with a column n of lo = n
+    span = (edge_hi - edge_lo).max()
+    reach = edge_lo[:, None] + np.arange(1, span + 1)
+    reach[reach > edge_hi[:, None]] = n + 1
+    by_reach = np.argsort(reach, axis=None, kind="stable")
+    starts = np.searchsorted(reach.ravel()[by_reach], np.arange(n + 2))
+    slots = starts[:-1, None] + np.arange(np.diff(starts).max())
+    straddling = np.where(slots < starts[1:, None], by_reach.take(slots, mode="clip") // span, n)
+    # (chart n + i) n m + k of each (chart, level k, row i)
+    base = (n * m * np.arange(len(charts) * n).reshape(-1, 1, n) + np.arange(m)[:, None]).ravel()
+    # columns with low <= lo < high, all crossed, and columns straddling low with lo < high
+    first = at_rank[low]
+    runs = np.maximum(at_rank[high] - first, 0)
+    window = np.repeat(first - (np.cumsum(runs) - runs), runs)
+    window += np.arange(len(window))
+    ends = straddling.take(low, axis=0)
+    hit = np.append(edge_lo, n).take(ends) < high[:, None]
+    pairs = np.concatenate([np.repeat(base, runs) + (by_lo * m).take(window),
+                            (base[:, None] + ends * m)[hit]])
+    pairs.sort()
     return pairs
 
 

@@ -286,17 +286,24 @@ def test_cli_fiber_scan_csv(tmp_path):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_SCAN = ["--beta-grid=-1:3:9,-1:3:9", "--resolution", "64", "--c-grid", "5"]
-
-
-@pytest.mark.parametrize("name", ["family_11m1", "family_21m1"])
-def test_cli_fiber_scan_csv_matches_golden_bytes(name, tmp_path):
+GOLDEN_CASES = [
     # 81 targets: 36 ok charts, labelled in stacks of 16, 16 and 4, and 32
     # empty and 13 point charts between them
+    *(pytest.param(name, GOLDEN_SCAN, f"fiber_scan_{name}.csv", id=name)
+      for name in ["family_11m1", "family_21m1"]),
+    # the default scan: 5 x 5 ok charts, 21 levels, resolution 512
+    *(pytest.param(name, [], f"fiber_scan_{name}_r512.csv", id=f"{name}_r512")
+      for name in ["family_11m1", "family_21m1"]),
+]
+
+
+@pytest.mark.parametrize(("name", "scan", "golden"), GOLDEN_CASES)
+def test_cli_fiber_scan_csv_matches_golden_bytes(name, scan, golden, tmp_path):
     out_csv = tmp_path / "rows.csv"
-    code = main(["fiber-scan", name, *GOLDEN_SCAN, "--out", str(tmp_path / "o.json"),
+    code = main(["fiber-scan", name, *scan, "--out", str(tmp_path / "o.json"),
                  "--csv", str(out_csv)])
     assert code == 0
-    assert out_csv.read_bytes() == (GOLDEN / f"fiber_scan_{name}.csv").read_bytes()
+    assert out_csv.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_spec_file_with_custom_polynomial(tmp_path):

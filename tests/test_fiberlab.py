@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter, deque
 from fractions import Fraction
@@ -19,6 +21,7 @@ from ephemera.fiberlab import (
     MIN_RESOLUTION,
     STACK_CELLS,
     SyntheticChart,
+    _crossed_pairs,
     _stack_verdicts,
     connectivity_report,
     critical_scan,
@@ -536,6 +539,101 @@ def test_level_components_stack_of_mixed_level_counts():
     assert level_components([], [], 64) == []
     assert level_components(charts[:2], [[], []], 64) == [[], []]
 
+
+
+def _sorted_stack(levels):
+    """Each chart's levels padded with +inf to the widest count and sorted,
+    as level_components hands them to _crossed_pairs."""
+    padded = np.full((len(levels), max(map(len, levels), default=0)), np.inf)
+    for row, chart_levels in zip(padded, levels):
+        row[:len(chart_levels)] = chart_levels
+    return np.sort(padded, axis=1)
+
+
+def _check_pairs(charts, levels, resolution):
+    """_crossed_pairs against the cells that _straddle_mask marks from gbar,
+    pair for pair, numbered (chart n^2 + cell) m + k."""
+    ordered = _sorted_stack(levels)
+    n, m = resolution, ordered.shape[1]
+    expected = [(index * n * n + np.flatnonzero(_straddle_mask(chart, c, n))) * m + k
+                for index, (chart, row) in enumerate(zip(charts, ordered))
+                for k, c in enumerate(row)]
+    got = _crossed_pairs(charts, ordered, n)
+    assert np.array_equal(got, np.sort(np.concatenate([[], *expected]).astype(int))), charts
+    return got
+
+
+@pytest.mark.parametrize("resolution", [64, 97, 512])
+def test_crossed_pairs_match_the_straddle_mask(resolution):
+    rng = np.random.default_rng(resolution)
+    charts = [reduced_surface(fam, beta) for fam in (FAM, FAM_CUBIC)
+              for beta in [(0.8, 1.6), (1.6, 1.6), (2.4, 0.8)]]
+    charts += [SyntheticChart(dip=0.7), SyntheticChart(dip=0.2)]
+    levels = [_tied_levels(chart, resolution, rng) for chart in charts]
+    for chart, chart_levels in zip(charts, levels):
+        assert len(_check_pairs([chart], [chart_levels], resolution)) > 0
+    # a padded stack of mixed level counts, one chart twice
+    stack = [charts[0], charts[6], charts[4], charts[0]]
+    _check_pairs(stack, [levels[0][:5], [], levels[4], levels[0]], resolution)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(_proper_family_charts(), st.sampled_from([64, 97]), st.integers(0, 2**32 - 1))
+def test_crossed_pairs_match_the_straddle_mask_on_generated_charts(charts, resolution, seed):
+    rng = np.random.default_rng(seed)
+    levels = [_tied_levels(chart, resolution, rng) for chart in charts]
+    _check_pairs(charts, [chart_levels[:3 + 5 * k] for k, chart_levels in enumerate(levels)],
+                 resolution)
+
+
+def test_crossed_pairs_match_the_straddle_mask_at_2048():
+    # three levels: a corner value, which ties the grid, 0 and one between
+    chart = reduced_surface(FAM_CUBIC, (1.2, 1.6))
+    tie = float(_corner_values(chart, 2048)[700, 300])
+    r_max = max(v for _, _, v, _ in critical_scan(chart).critical_points)
+    _check_pairs([chart], [[0.3 * r_max, 0.0, tie]], 2048)
+
+
+def test_level_components_refuses_a_negative_profile():
+    # R = s (1 - dip s^2) dips below 0 where s^2 > 1 / dip; the cuts need
+    # R >= 0 to keep the order of the sines (without it their steps need not
+    # end), so it is refused
+    chart = SyntheticChart(dip=1.5)
+    assert chart.radius_profile(0.5) < 0
+    with pytest.raises(ValueError, match="radius profile"):
+        level_components([chart], [[0.1]], 64)
+    with pytest.raises(ValueError, match="radius profile"):
+        level_components([SyntheticChart(dip=0.7), chart], [[0.1], []], 64)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the faults of glibc's heap")
+def test_default_scan_stops_faulting_its_working_set_in():
+    # glibc trims the top of its heap once that holds twice the largest
+    # block it has unmapped, so the count depends on what the process held
+    # before; here one 513 x 512 float grid, as in the benchmark worker,
+    # whose calibration passes build such grids between calls.  A warm
+    # default scan then runs in the heap it already has (the full-grid
+    # labeller took about 31,000 faults)
+    script = """
+import resource
+import numpy as np
+from ephemera.family import build_family
+from ephemera.fiberlab import connectivity_report
+from ephemera.lattice import WeightMatrix
+fam = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
+grid = [(a, b) for a in np.linspace(0.8, 2.4, 5) for b in np.linspace(0.8, 2.4, 5)]
+grid_values = np.ones((513, 512))
+del grid_values
+connectivity_report(fam, grid, resolution=512)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+connectivity_report(fam, grid, resolution=512)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(ephemera.lattice.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert int(done.stdout) < 5000
 
 def _recording_stacks(monkeypatch):
     """The charts and levels of each level_components call, in order."""
