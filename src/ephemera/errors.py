@@ -41,6 +41,10 @@ class EmptyFiber(EphemeraError):
     """Requested level is outside the moment-map image."""
 
 
+class OutOfFloatRange(EphemeraError):
+    """Target's reduced surface is too large or too small for floats."""
+
+
 class NotProper(EphemeraError):
     """Moment map is not proper (weights not in an open half-space)."""
 

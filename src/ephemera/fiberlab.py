@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classifier import SystemSpec
-from .errors import EmptyFiber, NotProper
+from .errors import EmptyFiber, NotProper, OutOfFloatRange
 
 MIN_RESOLUTION = 64
 STACK_CELLS = 1 << 16  # grid cells per labelled stack of charts
@@ -36,7 +36,8 @@ class ReducedSurfaceChart:
 
     profile_terms holds, uncompared, the float (start, rate, power) of each
     moving coordinate, s_j(t) = start + rate t and R = prod s_j^power,
-    converted from the exact endpoints once per chart.
+    converted from the exact endpoints once per chart; endpoints beyond
+    the float range are refused with OutOfFloatRange.
     """
 
     beta: tuple[float, ...]
@@ -52,10 +53,13 @@ class ReducedSurfaceChart:
 
     def __post_init__(self):
         terms = []
-        for e, a, b in zip(self.xi, self.s_start, self.s_end):
-            if e:
-                start = float(a)
-                terms.append((start, float(b) - start, abs(e) / 2.0))
+        try:
+            for e, a, b in zip(self.xi, self.s_start, self.s_end):
+                if e:
+                    start = float(a)
+                    terms.append((start, float(b) - start, abs(e) / 2.0))
+        except OverflowError:
+            raise OutOfFloatRange(f"target {self.beta}: squared radii overflow floats") from None
         object.__setattr__(self, "profile_terms", tuple(terms))
 
     def radius_profile(self, t) -> np.ndarray:
@@ -253,54 +257,94 @@ def critical_scan(chart) -> MorseReport:
     """
     points = []
     for t, is_max in chart.profile_critical_points():
-        r = float(chart.radius_profile(t))
+        with np.errstate(over="ignore"):  # an infinite maximum is refused with the levels
+            r = float(chart.radius_profile(t))
         points.append((t, np.pi / 2.0, r, 2 if is_max else 1))
         points.append((t, 3.0 * np.pi / 2.0, -r, 0 if is_max else 1))
     return MorseReport(critical_points=points)
 
 
-def level_components(charts, levels, resolution: int = 256) -> list[list[int]]:
+def level_components(charts, levels, resolution: int) -> list[list[int]]:
     """Connected components of each level set {R sin(psi) = c} of a stack
     of charts, on one cell grid per chart.
 
     levels holds one sequence of levels per chart.  Cells are marked when
     the corner values straddle c strictly (bilinear interpolants cross
     exactly then); marked cells are merged when edge adjacent, wrapping in
-    the angle.  The poles need no identification: R is 0 at both ends, so
-    the marked cells of a pole row are those whose inner corners
-    R sin(psi) pass c.  At c != 0 they form one run of adjacent columns,
-    since the sine is unimodal on each half-turn, and the left-neighbour
-    joins connect it; at c = 0 only the cell across psi = pi is marked,
-    since sin(0) is exactly 0.
+    the angle.  The sines fall strictly along both half-turns of the
+    angle, from the column of the largest sine to that of the smallest,
+    so the marked cells of one level in one row band form at most one run
+    on each half-turn (see _crossed_runs).  The runs are the nodes: a run
+    joins the run of its half-turn in the band above when the two
+    overlap, and the two runs of one band join when both start at the
+    top column or both end at the bottom one.  The poles need no
+    identification: R is 0 at both ends, so a pole row's runs are the
+    cells whose inner corners R sin(psi) pass c.
 
     Each chart's levels are sorted, c_0 <= ... <= c_{m-1}, and padded with
-    +inf to the stack's widest count m, which no corner value reaches.
-    The crossed (chart, cell, level) pairs are numbered
-    (chart n^2 + cell) m + k (see _crossed_pairs), which lists them sorted
-    and keeps levels and charts from joining, and the whole stack is
-    labelled together by min-label hooking with pointer jumping.  Returns,
-    per chart, one count per level, in the order given; equal levels are
-    marked alike and get equal counts.  A radius profile negative on the
-    grid is refused with ValueError.
+    +inf to the stack's widest count m, which no corner value reaches, and
+    the runs of the whole stack, numbered ((half C + chart) m + k) n + band
+    so that no two levels or charts join, are labelled together by
+    min-label hooking with pointer jumping.  Returns, per chart, one count
+    per level, in the order given; equal levels are marked alike and get
+    equal counts.  A radius profile negative on the grid is refused with
+    ValueError.
     """
     n = max(int(resolution), MIN_RESOLUTION)
     m = max(map(len, levels), default=0)
     padded = np.full((len(charts), m), np.inf)
     for row, chart_levels in zip(padded, levels):
         row[:len(chart_levels)] = chart_levels
-    pairs = _crossed_pairs(charts, np.sort(padded, axis=1), n)
-    roots = _component_roots(pairs, n, m)
+    first, stop, halves = _crossed_runs(charts, np.sort(padded, axis=1), n)
+    live = first < stop
+    above = np.zeros_like(live)  # overlaps the run of its half-turn in the band above
+    above[..., 1:] = np.maximum(first[..., 1:], first[..., :-1]) < np.minimum(
+        stop[..., 1:], stop[..., :-1])
+    cells = np.reshape([len(half) - 1 for half in halves], (2, 1, 1, 1))
+    meet = live.all(axis=0) & ((first == 0).all(axis=0) | (stop == cells).all(axis=0))
+    del first, stop
+    up, across = np.flatnonzero(above), np.flatnonzero(meet)
+    a, b = np.concatenate([up, across]), np.concatenate([up - 1, across + meet.size])
+    parent = np.arange(live.size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        # parent[x] <= x holds for every run, so hooking the larger root onto
+        # the smaller makes no cycle; pointer jumping flattens the forest again
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
     # each root's chart and level, the level mapped back through the sort
+    level = np.flatnonzero(live.ravel() & (parent == np.arange(live.size))) % meet.size // n
     order = np.argsort(padded, axis=1)
-    slot = roots // (n * n * m) * m
-    counts = np.bincount(slot + order.ravel()[slot + roots % m], minlength=order.size)
+    counts = np.bincount(level // m * m + order.ravel()[level], minlength=order.size)
     return [row[:len(chart_levels)].tolist()
             for row, chart_levels in zip(counts.reshape(order.shape), levels)]
 
 
-def _crossed_pairs(charts, ordered, n: int) -> np.ndarray:
-    """The sorted numbers (chart n^2 + cell) m + k of the (chart, cell,
-    level) pairs whose four corner values straddle level k strictly.
+def _half_turns(n: int):
+    """The n grid columns' sines in increasing order, each column's rank
+    in that order (a stable sort), and the two half-turns: the columns from
+    rank n - 1 (top) to rank 0 (bottom), forwards and backwards, along which
+    the ranks fall strictly (tested for every resolution the CLI allows)."""
+    sines = np.sin(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    by_sine = np.argsort(sines, kind="stable")
+    top, bottom = by_sine[-1], by_sine[0]
+    halves = (np.arange(top, top + (bottom - top) % n + 1) % n,
+              np.arange(top, top - (top - bottom) % n - 1, -1) % n)
+    return sines[by_sine], np.argsort(by_sine), halves
+
+
+def _crossed_runs(charts, ordered, n: int):
+    """The cells whose four corner values straddle a level strictly, as
+    runs [first, stop) of cells along a half-turn, of shape (2, charts,
+    levels, bands), with the two half-turns' columns (see _half_turns).
 
     ordered holds each chart's m sorted levels.  Corner (i, j) has the
     value R_i sin_j, R = radius_profile(ts) >= 0, and no grid of them is
@@ -309,23 +353,21 @@ def _crossed_pairs(charts, ordered, n: int) -> np.ndarray:
     c_k are the columns with sigma < below(i, k), and those not above it
     the columns with sigma < upto(i, k): a search of c_k / R_i among the
     sorted sines guesses each cut, and exact tests of the products step
-    it there.  Cell (i, j) has a corner below c_k when lo = min(sigma_j,
-    sigma_{j+1 mod n}) < high, the larger below of rows i and i + 1, and
-    one above it when hi = max(sigma_j, sigma_{j+1 mod n}) >= low, the
-    smaller upto: the cells with low <= lo < high, a run in the order of
-    lo, and the few with lo < low <= hi.
+    it there.  Cell p of a half-turn joins its columns p and p + 1, where
+    sigma falls, so it has a corner below c_k when sigma_{p+1} < high, the
+    larger below of rows i and i + 1, and one above it when sigma_p >= low,
+    the smaller upto.  With A(r) the number of the half-turn's columns of
+    rank >= r, these are the cells A(high) - 1 <= p < A(low).
     """
-    m = ordered.shape[1]
     ts = np.linspace(0.0, 1.0, n + 1)
-    sines = np.sin(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
-    by_sine = np.argsort(sines, kind="stable")
+    sines, sigma, halves = _half_turns(n)
     radii = np.array([chart.radius_profile(ts) for chart in charts]).reshape(-1, 1, n + 1)
     if (radii < 0).any():
         raise ValueError("a chart's radius profile is negative; level crossings need R >= 0")
     levels = ordered[:, :, None]
     # the sines before and after cut g sit at g and g + 1; the end nans fail every test
-    bounded = np.concatenate([[np.nan], sines[by_sine], [np.nan]])
-    below = np.searchsorted(bounded[1:-1], levels / np.where(radii == 0, 1.0, radii))
+    bounded = np.concatenate([[np.nan], sines, [np.nan]])
+    below = np.searchsorted(sines, levels / np.where(radii == 0, 1.0, radii))
     np.copyto(below, n * (levels > 0), where=radii == 0)
     while True:
         back = radii * bounded[below] >= levels
@@ -337,67 +379,16 @@ def _crossed_pairs(charts, ordered, n: int) -> np.ndarray:
     upto = np.where(radii == 0, n * (levels >= 0), below)
     while (on := radii * bounded[upto + 1] <= levels).any():
         upto += on
-    high = np.maximum(below[..., :-1], below[..., 1:]).ravel()
-    low = np.minimum(upto[..., :-1], upto[..., 1:]).ravel()
+    high = np.maximum(below[..., :-1], below[..., 1:])
+    low = np.minimum(upto[..., :-1], upto[..., 1:])
     del below, upto, back, on
-    sigma = np.argsort(by_sine)
-    edge_lo, edge_hi = np.sort([sigma, np.roll(sigma, -1)], axis=0)  # lo and hi of cell column j
-    by_lo = np.argsort(edge_lo, kind="stable")
-    at_rank = np.searchsorted(edge_lo[by_lo], np.arange(n + 1))
-    # the columns with lo < r <= hi of each rank r, padded with a column n of lo = n
-    span = (edge_hi - edge_lo).max()
-    reach = edge_lo[:, None] + np.arange(1, span + 1)
-    reach[reach > edge_hi[:, None]] = n + 1
-    by_reach = np.argsort(reach, axis=None, kind="stable")
-    starts = np.searchsorted(reach.ravel()[by_reach], np.arange(n + 2))
-    slots = starts[:-1, None] + np.arange(np.diff(starts).max())
-    straddling = np.where(slots < starts[1:, None], by_reach.take(slots, mode="clip") // span, n)
-    # (chart n + i) n m + k of each (chart, level k, row i)
-    base = (n * m * np.arange(len(charts) * n).reshape(-1, 1, n) + np.arange(m)[:, None]).ravel()
-    # columns with low <= lo < high, all crossed, and columns straddling low with lo < high
-    first = at_rank[low]
-    runs = np.maximum(at_rank[high] - first, 0)
-    window = np.repeat(first - (np.cumsum(runs) - runs), runs)
-    window += np.arange(len(window))
-    ends = straddling.take(low, axis=0)
-    hit = np.append(edge_lo, n).take(ends) < high[:, None]
-    pairs = np.concatenate([np.repeat(base, runs) + (by_lo * m).take(window),
-                            (base[:, None] + ends * m)[hit]])
-    pairs.sort()
-    return pairs
-
-
-def _component_roots(pairs, n: int, m: int) -> np.ndarray:
-    """The root pair of each component: each pair is joined to the pairs
-    of its up (i-1, j) and left (i, j-1 mod n) neighbour cells of the same
-    chart at the same level, found by position in the sorted pairs."""
-    has_up = np.flatnonzero(pairs % (n * n * m) >= n * m)
-    col = pairs // m % n
-    a = np.concatenate([has_up, np.arange(len(pairs))])
-    target = np.concatenate(
-        [pairs[has_up] - n * m, np.where(col > 0, pairs - m, pairs + (n - 1) * m)]
-    )
-    del has_up, col  # freed before the search: it holds the peak memory of a call
-    b = np.searchsorted(pairs, target)
-    hit = pairs.take(b, mode="clip") == target
-    del target
-    a, b = a[hit], b[hit]
-    parent = np.arange(len(pairs))
-    while True:
-        ra, rb = parent[a], parent[b]
-        apart = ra != rb
-        if not apart.any():
-            break
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-        # parent[x] <= x holds for every pair, so hooking the larger root onto
-        # the smaller makes no cycle; pointer jumping flattens the forest again
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if (jumped == parent).all():
-                break
-            parent = jumped
-    return pairs[parent == np.arange(len(pairs))]
+    # A(r) of each half-turn, r = 0 ... n, in the rows of a table
+    at_least = np.array([np.bincount(sigma[half], minlength=n + 1)[::-1].cumsum()[::-1]
+                         for half in halves])
+    first = np.maximum(at_least - 1, 0)[:, high]
+    del high
+    stop = np.minimum(at_least, [[len(half) - 1] for half in halves])[:, low]
+    return first, stop, halves
 
 
 @dataclass(frozen=True)
@@ -472,6 +463,8 @@ def _stack_verdicts(charts, c_count: int, resolution: int) -> list[ChartVerdict]
     for chart in charts:
         morse = critical_scan(chart)
         r_max = max(v for _, _, v, _ in morse.critical_points)  # R is 0 at both ends
+        if not np.finfo(float).tiny <= r_max <= np.finfo(float).max / 2:
+            raise OutOfFloatRange(f"target {chart.beta}: r_max = {r_max} is out of float range")
         scans.append((morse, off_critical_levels(morse, c_count, r_max)))
     counts = level_components(charts, [levels for _, levels in scans], resolution)
     return [_verdict(chart.beta, morse, dict(zip(levels, k)))
@@ -510,6 +503,7 @@ def connectivity_report(
     least one), one stack held at a time; the verdicts keep grid order.
     The resolution is clamped to MIN_RESOLUTION once, here, and the
     clamped value sets every grid of the scan and is the one recorded.
+    A chart whose r_max or 2 r_max is not a normal float is refused.
     """
     if not sys.proper:
         raise NotProper("fiber scans require a proper moment map")

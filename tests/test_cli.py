@@ -294,6 +294,10 @@ GOLDEN_CASES = [
     # the default scan: 5 x 5 ok charts, 21 levels, resolution 512
     *(pytest.param(name, [], f"fiber_scan_{name}_r512.csv", id=f"{name}_r512")
       for name in ["family_11m1", "family_21m1"]),
+    # the default grid at resolution 97, odd: the columns of the largest and
+    # smallest sine do not face each other across the angle
+    *(pytest.param(name, ["--resolution", "97"], f"fiber_scan_{name}_r97.csv", id=f"{name}_r97")
+      for name in ["family_11m1", "family_21m1"]),
 ]
 
 
@@ -643,6 +647,21 @@ def test_cli_fiber_scan_refuses_sizes_over_the_caps(argv, message, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err
+
+
+@pytest.mark.parametrize("grid", [
+    "1e308:1e308:1,1:1:1",  # a squared radius overflows floats
+    "1e300:1e300:1,1e300:1e300:1",  # the largest value of R sin(psi) overflows
+    "1e-300:1e-300:1,1e-300:1e-300:1",  # it underflows to 0
+])
+def test_cli_fiber_scan_refuses_a_target_out_of_float_range(grid, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code = main(["fiber-scan", "family_11m1", f"--beta-grid={grid}", "--resolution", "64",
+                 "--c-grid", "3", "--out", str(out)])
+    assert code == 2
+    target = tuple(float(axis.split(":")[0]) for axis in grid.split(","))
+    assert f"error: target {target}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_fiber_scan_accepts_sizes_at_the_caps():

@@ -14,14 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ephemera.lattice
-from ephemera.cli import main
-from ephemera.errors import EmptyFiber, InvalidAction, NotProper
+from ephemera.cli import MAX_RESOLUTION, main
+from ephemera.errors import EmptyFiber, InvalidAction, NotProper, OutOfFloatRange
 from ephemera.family import PolarPoint, build_family, eval_polar
 from ephemera.fiberlab import (
     MIN_RESOLUTION,
     STACK_CELLS,
     SyntheticChart,
-    _crossed_pairs,
+    _crossed_runs,
+    _half_turns,
     _stack_verdicts,
     connectivity_report,
     critical_scan,
@@ -517,7 +518,7 @@ def _sampled_levels(chart, count):
 
 def test_level_components_stack_holds_one_chart_twice():
     # the same chart twice: its counts come out twice, not merged across
-    # the two grids, whose first and last rows meet in the pair numbering
+    # the two grids, whose first and last bands meet in the run numbering
     for chart in (reduced_surface(FAM, (1.2, 1.6)), SyntheticChart(dip=0.7)):
         levels = _sampled_levels(chart, 9) + [0.0]
         (once,) = _check_stack([chart], [levels], 64)
@@ -543,24 +544,45 @@ def test_level_components_stack_of_mixed_level_counts():
 
 def _sorted_stack(levels):
     """Each chart's levels padded with +inf to the widest count and sorted,
-    as level_components hands them to _crossed_pairs."""
+    as level_components hands them to _crossed_runs."""
     padded = np.full((len(levels), max(map(len, levels), default=0)), np.inf)
     for row, chart_levels in zip(padded, levels):
         row[:len(chart_levels)] = chart_levels
     return np.sort(padded, axis=1)
 
 
-def _check_pairs(charts, levels, resolution):
-    """_crossed_pairs against the cells that _straddle_mask marks from gbar,
-    pair for pair, numbered (chart n^2 + cell) m + k."""
+def _check_runs(charts, levels, resolution):
+    """_crossed_runs against the cells that _straddle_mask marks from gbar,
+    cell for cell: every run is expanded to the grid cells it covers, and
+    each cell must be covered once if marked and never otherwise.  Returns
+    the number of crossed (chart, cell, level) pairs."""
     ordered = _sorted_stack(levels)
-    n, m = resolution, ordered.shape[1]
-    expected = [(index * n * n + np.flatnonzero(_straddle_mask(chart, c, n))) * m + k
-                for index, (chart, row) in enumerate(zip(charts, ordered))
-                for k, c in enumerate(row)]
-    got = _crossed_pairs(charts, ordered, n)
-    assert np.array_equal(got, np.sort(np.concatenate([[], *expected]).astype(int))), charts
-    return got
+    n = resolution
+    first, stop, halves = _crossed_runs(charts, ordered, n)
+    covered = np.zeros((*ordered.shape, n, n), dtype=np.int8)  # chart, level, band, column
+    for half_first, half_stop, half in zip(first, stop, halves, strict=True):
+        # cell p of a half-turn lies between its columns p and p + 1
+        columns = np.where((half[:-1] + 1) % n == half[1:], half[:-1], half[1:])
+        p = np.arange(len(columns))
+        covered[..., columns] += (half_first[..., None] <= p) & (p < half_stop[..., None])
+    expected = np.zeros_like(covered)
+    for index, (chart, row) in enumerate(zip(charts, ordered)):
+        for k, c in enumerate(row):
+            expected[index, k] = _straddle_mask(chart, c, n)
+    assert np.array_equal(covered, expected), charts
+    return int(expected.sum())
+
+
+def test_ranks_fall_strictly_along_both_half_turns():
+    # the precondition of one run per half-turn: from the column of rank
+    # n - 1 to that of rank 0, forwards and backwards, every resolution the
+    # CLI allows and a few beyond
+    for n in [*range(MIN_RESOLUTION, MAX_RESOLUTION + 1), 4096, 10007, 65536]:
+        _, rank, halves = _half_turns(n)
+        assert len(halves[0]) + len(halves[1]) == n + 2, n
+        for half in halves:
+            assert rank[half[0]] == n - 1 and rank[half[-1]] == 0, n
+            assert (np.diff(rank[half]) < 0).all(), n
 
 
 @pytest.mark.parametrize("resolution", [64, 97, 512])
@@ -571,10 +593,10 @@ def test_crossed_pairs_match_the_straddle_mask(resolution):
     charts += [SyntheticChart(dip=0.7), SyntheticChart(dip=0.2)]
     levels = [_tied_levels(chart, resolution, rng) for chart in charts]
     for chart, chart_levels in zip(charts, levels):
-        assert len(_check_pairs([chart], [chart_levels], resolution)) > 0
+        assert _check_runs([chart], [chart_levels], resolution) > 0
     # a padded stack of mixed level counts, one chart twice
     stack = [charts[0], charts[6], charts[4], charts[0]]
-    _check_pairs(stack, [levels[0][:5], [], levels[4], levels[0]], resolution)
+    _check_runs(stack, [levels[0][:5], [], levels[4], levels[0]], resolution)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
@@ -582,8 +604,8 @@ def test_crossed_pairs_match_the_straddle_mask(resolution):
 def test_crossed_pairs_match_the_straddle_mask_on_generated_charts(charts, resolution, seed):
     rng = np.random.default_rng(seed)
     levels = [_tied_levels(chart, resolution, rng) for chart in charts]
-    _check_pairs(charts, [chart_levels[:3 + 5 * k] for k, chart_levels in enumerate(levels)],
-                 resolution)
+    _check_runs(charts, [chart_levels[:3 + 5 * k] for k, chart_levels in enumerate(levels)],
+                resolution)
 
 
 def test_crossed_pairs_match_the_straddle_mask_at_2048():
@@ -591,7 +613,7 @@ def test_crossed_pairs_match_the_straddle_mask_at_2048():
     chart = reduced_surface(FAM_CUBIC, (1.2, 1.6))
     tie = float(_corner_values(chart, 2048)[700, 300])
     r_max = max(v for _, _, v, _ in critical_scan(chart).critical_points)
-    _check_pairs([chart], [[0.3 * r_max, 0.0, tie]], 2048)
+    _check_runs([chart], [[0.3 * r_max, 0.0, tie]], 2048)
 
 
 def test_level_components_refuses_a_negative_profile():
@@ -641,7 +663,7 @@ def _recording_stacks(monkeypatch):
 
     stacks = []
 
-    def recording(charts, levels, resolution=256):
+    def recording(charts, levels, resolution):
         stacks.append((list(charts), [list(chart_levels) for chart_levels in levels], resolution))
         return level_components(charts, levels, resolution)
 
@@ -771,6 +793,28 @@ def test_connectivity_report_consistent():
     assert synth.no_saddles is False
     assert synth.all_levels_connected is False
     assert synth.consistent is True
+
+
+def test_targets_out_of_float_range_are_refused_and_the_rest_consistent():
+    # powers of ten from below the subnormals to the top of the float range:
+    # a chart whose squared radii overflow floats, or whose largest value is
+    # not a normal float or has no finite double, is refused, naming its
+    # target; every other chart comes out consistent
+    seen = Counter()
+    for fam in (FAM, FAM_CUBIC):
+        for k in range(-330, 309, 7):
+            x = float(f"1e{k}")
+            for beta in [(x, x), (x, 1.0), (1.0, x)]:
+                try:
+                    report = connectivity_report(fam, [beta], resolution=64, synthetic_check=False)
+                except OutOfFloatRange as exc:
+                    assert str(beta) in str(exc)
+                    seen["refused"] += 1
+                    continue
+                (verdict,) = report.charts
+                assert verdict.status == "point" or verdict.consistent, beta
+                seen[verdict.status] += 1
+    assert seen["refused"] > 0 and seen["point"] > 0 and seen["ok"] > seen["refused"]
 
 
 def test_connectivity_report_flags_empty():
