@@ -276,19 +276,27 @@ def level_components(charts, levels, resolution: int) -> list[list[int]]:
     so the marked cells of one level in one row band form at most one run
     on each half-turn (see _crossed_runs).  The runs are the nodes: a run
     joins the run of its half-turn in the band above when the two
-    overlap, and the two runs of one band join when both start at the
+    overlap, and the two runs of one band meet when both start at the
     top column or both end at the bottom one.  The poles need no
     identification: R is 0 at both ends, so a pole row's runs are the
     cells whose inner corners R sin(psi) pass c.
 
+    A run has at most one link up and one down, so the up-links join the
+    runs of a half-turn into chains over consecutive bands; numbered in
+    band order on each half-turn, a band's two runs sit on chains
+    (chain_0, chain_1), and neither number falls from one band to the
+    next.  A meet whose pair differs from the last meet's pair thus has a
+    number larger than every earlier meet's on its half-turn: it reaches
+    a chain that no earlier meet touched, and the distinct meets form a
+    forest over the chains.  Each level set has as many components as
+    chains less distinct meets.
+
     Each chart's levels are sorted, c_0 <= ... <= c_{m-1}, and padded with
     +inf to the stack's widest count m, which no corner value reaches, and
-    the runs of the whole stack, numbered ((half C + chart) m + k) n + band
-    so that no two levels or charts join, are labelled together by
-    min-label hooking with pointer jumping.  Returns, per chart, one count
-    per level, in the order given; equal levels are marked alike and get
-    equal counts.  A radius profile negative on the grid is refused with
-    ValueError.
+    the stack's levels are counted together.  Returns, per chart, one
+    count per level, in the order given; equal levels are marked alike
+    and get equal counts.  A radius profile negative on the grid is
+    refused with ValueError.
     """
     n = max(int(resolution), MIN_RESOLUTION)
     m = max(map(len, levels), default=0)
@@ -303,29 +311,15 @@ def level_components(charts, levels, resolution: int) -> list[list[int]]:
     cells = np.reshape([len(half) - 1 for half in halves], (2, 1, 1, 1))
     meet = live.all(axis=0) & ((first == 0).all(axis=0) | (stop == cells).all(axis=0))
     del first, stop
-    up, across = np.flatnonzero(above), np.flatnonzero(meet)
-    a, b = np.concatenate([up, across]), np.concatenate([up - 1, across + meet.size])
-    parent = np.arange(live.size)
-    while True:
-        ra, rb = parent[a], parent[b]
-        apart = ra != rb
-        if not apart.any():
-            break
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-        # parent[x] <= x holds for every run, so hooking the larger root onto
-        # the smaller makes no cycle; pointer jumping flattens the forest again
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = parent[parent]
-            if (jumped == parent).all():
-                break
-            parent = jumped
-    # each root's chart and level, the level mapped back through the sort
-    level = np.flatnonzero(live.ravel() & (parent == np.arange(live.size))) % meet.size // n
-    order = np.argsort(padded, axis=1)
-    counts = np.bincount(level // m * m + order.ravel()[level], minlength=order.size)
-    return [row[:len(chart_levels)].tolist()
-            for row, chart_levels in zip(counts.reshape(order.shape), levels)]
+    chain = np.cumsum(live & ~above, axis=-1)  # a live run's chain on its half-turn
+    # each meet's pair as one key; keys never fall, so a change marks a distinct pair
+    joins = np.maximum.accumulate(np.where(meet, chain[0] * (n + 1) + chain[1], -1), axis=-1)
+    distinct = np.count_nonzero(np.diff(joins, axis=-1, prepend=-1), axis=-1)
+    components = chain[..., -1].sum(axis=0) - distinct
+    # each count back to its level's place before the sort
+    counts = np.empty_like(components)
+    np.put_along_axis(counts, np.argsort(padded, axis=1), components, axis=1)
+    return [row[:len(chart_levels)].tolist() for row, chart_levels in zip(counts, levels)]
 
 
 def _half_turns(n: int):

@@ -286,6 +286,8 @@ def test_cli_fiber_scan_csv(tmp_path):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_SCAN = ["--beta-grid=-1:3:9,-1:3:9", "--resolution", "64", "--c-grid", "5"]
+GOLDEN_CAPS = ["--beta-grid=1.6:1.6:1,1.2:1.2:1", "--resolution", "2048", "--c-grid", "1024",
+               "--no-synthetic-check"]
 GOLDEN_CASES = [
     # 81 targets: 36 ok charts, labelled in stacks of 16, 16 and 4, and 32
     # empty and 13 point charts between them
@@ -297,6 +299,9 @@ GOLDEN_CASES = [
     # the default grid at resolution 97, odd: the columns of the largest and
     # smallest sine do not face each other across the angle
     *(pytest.param(name, ["--resolution", "97"], f"fiber_scan_{name}_r97.csv", id=f"{name}_r97")
+      for name in ["family_11m1", "family_21m1"]),
+    # one chart at the caps: resolution 2048 and 1024 levels
+    *(pytest.param(name, GOLDEN_CAPS, f"fiber_scan_{name}_r2048_c1024.csv", id=f"{name}_caps")
       for name in ["family_11m1", "family_21m1"]),
 ]
 

@@ -518,7 +518,7 @@ def _sampled_levels(chart, count):
 
 def test_level_components_stack_holds_one_chart_twice():
     # the same chart twice: its counts come out twice, not merged across
-    # the two grids, whose first and last bands meet in the run numbering
+    # the two grids, whose bands share the stack's arrays
     for chart in (reduced_surface(FAM, (1.2, 1.6)), SyntheticChart(dip=0.7)):
         levels = _sampled_levels(chart, 9) + [0.0]
         (once,) = _check_stack([chart], [levels], 64)
@@ -540,6 +540,43 @@ def test_level_components_stack_of_mixed_level_counts():
     assert level_components([], [], 64) == []
     assert level_components(charts[:2], [[], []], 64) == [[], []]
 
+
+class _KnotChart:
+    """Stand-in chart: R interpolates nonnegative values at knots of [0, 1]."""
+
+    def __init__(self, knots, values):
+        self.knots, self.values = knots, values
+
+    def radius_profile(self, t):
+        return np.interp(t, self.knots, self.values)
+
+
+def _knot_chart(rng):
+    """A random-walk profile of several bumps, with a run of zero rows, a
+    plateau of tied rows and every value rounded to tenths (more ties)."""
+    knots = np.linspace(0.0, 1.0, 17)
+    values = np.round(np.abs(np.cumsum(rng.normal(0.0, 0.5, 17))), 1)
+    zero, flat = rng.choice(np.arange(1, 15), 2, replace=False)
+    values[zero:zero + 2] = 0.0
+    values[flat + 1] = values[flat]
+    if rng.random() < 0.5:
+        values[[0, -1]] = 0.0
+    return _KnotChart(knots, values)
+
+
+@pytest.mark.parametrize("resolution", [64, 65])
+def test_level_components_many_components_on_stand_in_charts(resolution):
+    # level sets of three and more components: one loop per bump of R above
+    # |c|, split further by zero rows, against the flood fill
+    rng = np.random.default_rng(resolution)
+    charts = [_knot_chart(rng) for _ in range(10)]
+    levels = []
+    for chart in charts:
+        r_max = float(chart.values.max())
+        tie = float(_corner_values(chart, resolution)[12, 5])
+        levels.append([float(c) for c in rng.uniform(-1.1, 1.1, 10) * r_max] + [tie, 0.0])
+    got = _check_stack(charts, levels, resolution)
+    assert max(max(counts) for counts in got) >= 3
 
 
 def _sorted_stack(levels):
@@ -628,6 +665,15 @@ def test_level_components_refuses_a_negative_profile():
         level_components([SyntheticChart(dip=0.7), chart], [[0.1], []], 64)
 
 
+def _fresh_python_output(script):
+    """Standard output of script run in a fresh interpreter that imports the
+    same ephemera as the tests."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(ephemera.lattice.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="counts the faults of glibc's heap")
 def test_default_scan_stops_faulting_its_working_set_in():
     # glibc trims the top of its heap once that holds twice the largest
@@ -651,11 +697,28 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 connectivity_report(fam, grid, resolution=512)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    root = os.path.dirname(os.path.dirname(os.path.abspath(ephemera.lattice.__file__)))
-    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert int(done.stdout) < 5000
+    assert int(_fresh_python_output(script)) < 5000
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM in /proc/self/status")
+def test_one_chart_at_the_caps_stays_under_256_mb(tmp_path):
+    # one family_11m1 chart at MAX_RESOLUTION with 1024 levels, through the
+    # CLI in a fresh process; VmHWM is the peak of the process's own memory,
+    # where ru_maxrss would start from the peak of the test process that
+    # spawned it
+    script = f"""
+from ephemera.cli import main
+code = main(["fiber-scan", "family_11m1", "--beta-grid=1.6:1.6:1,1.2:1.2:1",
+             "--resolution", "{MAX_RESOLUTION}", "--c-grid", "1024", "--no-synthetic-check",
+             "--out", {str(tmp_path / "cap.json")!r}])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+    code, peak_kb = map(int, _fresh_python_output(script).split())
+    assert code == 0
+    assert peak_kb < 256 * 1024
+
 
 def _recording_stacks(monkeypatch):
     """The charts and levels of each level_components call, in order."""
