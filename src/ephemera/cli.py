@@ -42,8 +42,8 @@ CATALOG_NAMES = ("ex1_zN", "ex2_pq", "family_11m1", "family_21m1")
 # fiber-scan size caps, checked while parsing: a chart of resolution n holds
 # a few arrays of n cuts or runs per level, and every level and chart adds
 # to the labelling work and to the report (one family_11m1 chart at 2048,
-# with --no-synthetic-check, peaked at 41 MB of memory, ru_maxrss, with 21
-# levels and at 188 MB with 1024, on Python 3.11 and numpy 2.4)
+# with --no-synthetic-check, peaked at 38 MB of memory, ru_maxrss, with 21
+# levels and at 153 MB with 1024, on Python 3.11 and numpy 2.4)
 MAX_RESOLUTION = 2048
 MAX_LEVELS = 1024
 MAX_CHARTS = 1 << 16

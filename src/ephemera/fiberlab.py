@@ -291,19 +291,19 @@ def level_components(charts, levels, resolution: int) -> list[list[int]]:
     forest over the chains.  Each level set has as many components as
     chains less distinct meets.
 
-    Each chart's levels are sorted, c_0 <= ... <= c_{m-1}, and padded with
-    +inf to the stack's widest count m, which no corner value reaches, and
-    the stack's levels are counted together.  Returns, per chart, one
-    count per level, in the order given; equal levels are marked alike
-    and get equal counts.  A radius profile negative on the grid is
-    refused with ValueError.
+    Each chart's levels are padded with +inf to the stack's widest count
+    m, which no corner value reaches, and the stack's levels are counted
+    together, each on its own.  Returns, per chart, one count per level,
+    in the order given; equal levels are marked alike and get equal
+    counts.  A radius profile negative on the grid is refused with
+    ValueError.
     """
     n = max(int(resolution), MIN_RESOLUTION)
     m = max(map(len, levels), default=0)
     padded = np.full((len(charts), m), np.inf)
     for row, chart_levels in zip(padded, levels):
         row[:len(chart_levels)] = chart_levels
-    first, stop, halves = _crossed_runs(charts, np.sort(padded, axis=1), n)
+    first, stop, halves = _crossed_runs(charts, padded, n)
     live = first < stop
     above = np.zeros_like(live)  # overlaps the run of its half-turn in the band above
     above[..., 1:] = np.maximum(first[..., 1:], first[..., :-1]) < np.minimum(
@@ -316,10 +316,7 @@ def level_components(charts, levels, resolution: int) -> list[list[int]]:
     joins = np.maximum.accumulate(np.where(meet, chain[0] * (n + 1) + chain[1], -1), axis=-1)
     distinct = np.count_nonzero(np.diff(joins, axis=-1, prepend=-1), axis=-1)
     components = chain[..., -1].sum(axis=0) - distinct
-    # each count back to its level's place before the sort
-    counts = np.empty_like(components)
-    np.put_along_axis(counts, np.argsort(padded, axis=1), components, axis=1)
-    return [row[:len(chart_levels)].tolist() for row, chart_levels in zip(counts, levels)]
+    return [row[:len(chart_levels)].tolist() for row, chart_levels in zip(components, levels)]
 
 
 def _half_turns(n: int):
@@ -335,12 +332,12 @@ def _half_turns(n: int):
     return sines[by_sine], np.argsort(by_sine), halves
 
 
-def _crossed_runs(charts, ordered, n: int):
+def _crossed_runs(charts, levels, n: int):
     """The cells whose four corner values straddle a level strictly, as
     runs [first, stop) of cells along a half-turn, of shape (2, charts,
     levels, bands), with the two half-turns' columns (see _half_turns).
 
-    ordered holds each chart's m sorted levels.  Corner (i, j) has the
+    levels holds m levels per chart, in any order.  Corner (i, j) has the
     value R_i sin_j, R = radius_profile(ts) >= 0, and no grid of them is
     built.  Rounded products with one R_i >= 0 keep the order of the
     sines, so with sigma_j the rank of sin_j, the corners of row i below
@@ -358,7 +355,7 @@ def _crossed_runs(charts, ordered, n: int):
     radii = np.array([chart.radius_profile(ts) for chart in charts]).reshape(-1, 1, n + 1)
     if (radii < 0).any():
         raise ValueError("a chart's radius profile is negative; level crossings need R >= 0")
-    levels = ordered[:, :, None]
+    levels = levels[:, :, None]
     # the sines before and after cut g sit at g and g + 1; the end nans fail every test
     bounded = np.concatenate([[np.nan], sines, [np.nan]])
     below = np.searchsorted(sines, levels / np.where(radii == 0, 1.0, radii))
@@ -376,12 +373,12 @@ def _crossed_runs(charts, ordered, n: int):
     high = np.maximum(below[..., :-1], below[..., 1:])
     low = np.minimum(upto[..., :-1], upto[..., 1:])
     del below, upto, back, on
-    # A(r) of each half-turn, r = 0 ... n, in the rows of a table
+    # A(r) of each half-turn, r = 0 ... n, in the rows of an int32 table (A <= n)
     at_least = np.array([np.bincount(sigma[half], minlength=n + 1)[::-1].cumsum()[::-1]
-                         for half in halves])
+                         for half in halves], dtype=np.int32)
     first = np.maximum(at_least - 1, 0)[:, high]
     del high
-    stop = np.minimum(at_least, [[len(half) - 1] for half in halves])[:, low]
+    stop = np.minimum(at_least, [[len(half) - 1] for half in halves], dtype=np.int32)[:, low]
     return first, stop, halves
 
 

@@ -7,20 +7,16 @@ coefficients fall back to repr-exact decimal strings tagged with "~".
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import re
 from fractions import Fraction
-from importlib import resources
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
 
 from .classifier import BlockData, SingularityReport, local_model_system
-from .errors import ParseError
+from .errors import InvalidAction, ParseError
 from .family import PolarPoint, build_family
 from .fiberlab import ChartVerdict, ConnectivityReport
 from .jets import InvariantPolynomial, RationalComplex, c_complex
@@ -74,10 +70,15 @@ def parse_coefficient(text: str):
         raise ParseError(f"bad coefficient string {text!r}") from exc
 
 
-def polynomial_from_terms(terms: list[dict], xi: DefiningVector) -> InvariantPolynomial:
+def polynomial_from_terms(terms: list, xi: DefiningVector) -> InvariantPolynomial:
+    """The polynomial of a spec's g_terms, and the one check of each entry:
+    exactly the keys a, b and c, a and b lists of integers >= 0, c a string."""
     parsed = {}
     for item in terms:
-        key = (tuple(item["a"]), tuple(item["b"]))
+        if (not isinstance(item, dict) or set(item) != {"a", "b", "c"}
+                or not isinstance(item["c"], str)):
+            raise ParseError(f"bad g_terms: entry {item} is not exactly a, b and a string c")
+        key = tuple(tuple(_numbers(item[k], f"bad g_terms: {k}", "an integer >= 0")) for k in "ab")
         if key in parsed:
             raise ParseError(f"bad g_terms: exponent pair a={item['a']}, b={item['b']} repeats")
         parsed[key] = parse_coefficient(item["c"])
@@ -87,33 +88,40 @@ def polynomial_from_terms(terms: list[dict], xi: DefiningVector) -> InvariantPol
         raise ParseError(f"bad g_terms: {exc}") from exc
 
 
-@functools.cache
-def _validator(name: str):
-    """Validator for a shipped schema, built on first use."""
-    with resources.files("ephemera").joinpath("schemas").joinpath(name).open() as fh:
-        schema = json.load(fh)
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
-def _schema_error(data, name: str):
-    """The most relevant violation of a shipped schema, or None."""
-    return best_match(_validator(name).iter_errors(data))
+# the top-level keys of system_spec.schema.json, each with its JSON type
+_SPEC_KEYS = {"name": str, "description": str, "kind": str, "weights": list,
+              "xi": list, "g_terms": list, "points": list, "metadata": dict}
+_JSON_TYPES = {str: "a string", list: "an array", dict: "an object"}
 
 
 def load_system_spec(data: dict):
-    """Validate a spec dict and build the system it describes.
+    """Check a spec dict and build the system it describes.
 
+    The one check of a spec, each field checked where it is read: it
+    accepts what system_spec.schema.json and the system's checks accept.
     Returns (system, points), a SystemSpec and PolarPoints.  Family
     entries give the system of build_family, whose g is Im P (g_terms are
     refused); local-model entries give a system on the slice.  Every
     listed point must have one finite coordinate per system coordinate.
     """
-    error = _schema_error(data, "system_spec.schema.json")
-    if error is not None:
-        raise ParseError(f"spec file invalid: {error.message}") from error
-    name = data["name"]
+    if not isinstance(data, dict):
+        raise ParseError("spec file invalid: not an object")
+    for key, value in data.items():
+        if key not in _SPEC_KEYS:
+            raise ParseError(f"spec file invalid: unknown key {key!r}")
+        if not isinstance(value, _SPEC_KEYS[key]):
+            raise ParseError(f"spec file invalid: {key} is not {_JSON_TYPES[_SPEC_KEYS[key]]}")
+    name, kind = data.get("name"), data.get("kind")
+    if not name or kind not in ("family", "local_model") or (
+            ("weights" if kind == "family" else "xi") not in data):
+        raise ParseError("spec file invalid: needs a name, a kind (family or "
+                         "local_model), and a family's weights or a local model's xi")
+    for row in data.get("weights", []):
+        _numbers(row, "spec file invalid: a weights row", "an integer", min_length=2)
+    if "xi" in data:
+        _numbers(data["xi"], "spec file invalid: xi", "an integer", min_length=1)
     points = [parse_point(p) for p in data.get("points", [])]
-    if data["kind"] == "family":
+    if kind == "family":
         if "g_terms" in data:
             raise ParseError("g_terms are not supported on a family spec: its g is Im P")
         weights = WeightMatrix(tuple(tuple(row) for row in data["weights"]))
@@ -124,7 +132,10 @@ def load_system_spec(data: dict):
                 f"(expected {list(system.xi.xi)})"
             )
     else:
-        xi = DefiningVector.from_entries(data["xi"])
+        try:  # a ParseError, as the g_terms entries checked after xi may break the schema
+            xi = DefiningVector.from_entries(data["xi"])
+        except InvalidAction as exc:
+            raise ParseError(f"bad xi: {exc}") from exc
         g = None
         if "g_terms" in data:
             g = polynomial_from_terms(data["g_terms"], xi)
@@ -154,17 +165,24 @@ def load_system_spec(data: dict):
     return system, points
 
 
-def _point_numbers(entry, value, what: str) -> list:
-    """value as a list of JSON numbers that fit a float (true/false are not numbers)."""
+def _numbers(value, what: str, kind="a number", min_length=0) -> list:
+    """value as a list of at least min_length JSON numbers (true and false
+    are not), each of a kind: "a number" fits a float, "an integer" is an
+    int or an integral float, as the schema counts them, or "an integer >= 0"."""
     if not isinstance(value, list):
-        raise ParseError(f"bad point {entry}: {what} is not a list")
+        raise ParseError(f"{what} is not a list")
+    if len(value) < min_length:
+        raise ParseError(f"{what} has fewer than {min_length} entries")
     for x in value:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError(f"bad point {entry}: {what} holds {x!r}, not a number")
-        try:
-            float(x)
-        except OverflowError as exc:
-            raise ParseError(f"bad point {entry}: {what} holds a number beyond a float") from exc
+        if (isinstance(x, bool) or not isinstance(x, (int, float))
+                or kind != "a number" and isinstance(x, float) and not x.is_integer()
+                or kind == "an integer >= 0" and x < 0):
+            raise ParseError(f"{what} holds {x!r}, not {kind}")
+        if kind == "a number":
+            try:
+                float(x)
+            except OverflowError as exc:
+                raise ParseError(f"{what} holds a number beyond a float") from exc
     return value
 
 
@@ -178,22 +196,19 @@ def parse_point(entry) -> PolarPoint:
     """
     if not isinstance(entry, dict) or set(entry) not in ({"r", "theta"}, {"z"}):
         raise ParseError(f"bad point {entry}: expected the keys r and theta, or z alone")
-    if "r" in entry:
-        r = _point_numbers(entry, entry["r"], "r")
-        theta = _point_numbers(entry, entry["theta"], "theta")
-        try:
-            return PolarPoint(r=tuple(r), theta=tuple(theta))
-        except ValueError as exc:
-            raise ParseError(f"bad point {entry}: {exc}") from exc
-    pairs = entry["z"]
-    if not isinstance(pairs, list):
-        raise ParseError(f"bad point {entry}: z is not a list")
-    z = []
-    for pair in pairs:
-        re_im = _point_numbers(entry, pair, "a z entry")
-        if len(re_im) != 2:
-            raise ParseError(f"bad point {entry}: z entry {pair} is not a pair")
-        z.append(complex(re_im[0], re_im[1]))
+    try:  # the message names the point only once a check fails
+        if "r" in entry:
+            return PolarPoint(r=tuple(_numbers(entry["r"], "r")),
+                              theta=tuple(_numbers(entry["theta"], "theta")))
+        if not isinstance(entry["z"], list):
+            raise ParseError("z is not a list")
+        z = []
+        for pair in entry["z"]:
+            if len(_numbers(pair, "a z entry")) != 2:
+                raise ParseError(f"z entry {pair} is not a pair")
+            z.append(complex(pair[0], pair[1]))
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"bad point {entry}: {exc}") from exc
     return PolarPoint.from_complex(np.array(z))
 
 

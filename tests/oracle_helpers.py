@@ -2,11 +2,16 @@
 seeded test points and polynomials, and the writer side of the coefficient
 and term round trips."""
 
+import functools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
+import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
 
 from ephemera.classifier import SystemSpec
 from ephemera.family import PolarPoint, _check_conditions, eval_polar
@@ -19,7 +24,6 @@ from ephemera.jets import (
     c_is_exact,
 )
 from ephemera.lattice import DefiningVector, WeightMatrix
-from ephemera.serial import _schema_error
 
 
 def gbar(chart, t, psi) -> np.ndarray:
@@ -206,9 +210,17 @@ def support_pattern_point(
     return PolarPoint(r=tuple(r), theta=tuple(theta))
 
 
+@functools.cache
+def schema_validator(name: str):
+    """A validator for a shipped schema; the program itself uses none."""
+    with resources.files("ephemera").joinpath("schemas").joinpath(name).open() as fh:
+        schema = json.load(fh)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def validate_report_bundle(data: dict) -> None:
     """Raise the most relevant violation of the shipped report-bundle schema."""
-    error = _schema_error(data, "report_bundle.schema.json")
+    error = best_match(schema_validator("report_bundle.schema.json").iter_errors(data))
     if error is not None:
         raise error
 

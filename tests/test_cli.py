@@ -1,11 +1,13 @@
 """CLI surface: exit codes, JSON schemas, catalog round trips."""
 
 import contextlib
+import copy
 import importlib.util
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -29,7 +31,7 @@ from ephemera.cli import (
     build_parser,
     main,
 )
-from ephemera.errors import ParseError, PrerequisiteVanishingFailed
+from ephemera.errors import EphemeraError, ParseError, PrerequisiteVanishingFailed
 from ephemera.family import classify_family_point
 from ephemera.jets import InvariantPolynomial, RationalComplex, chart_jet, ephemeral_zero_set_test
 from ephemera.lattice import DefiningVector
@@ -45,6 +47,7 @@ from oracle_helpers import (
     polynomial_to_terms,
     radius_power,
     scale,
+    schema_validator,
     validate_report_bundle,
 )
 
@@ -955,6 +958,122 @@ def test_fuzzed_coefficient_strings_exit_0_or_2(text, tmp_path_factory):
     assert code == 0 or err.startswith("error:")
 
 
+# values that JSON Schema types differently from what a field needs: 2.0 is
+# an integer to the schema, true is no number, 2.5 no integer
+_ODD_VALUES = (True, 2.0, 2.5, "", [], {}, -1, 0, 2, None, "x")
+
+
+def _spec_bases() -> list[dict]:
+    """The catalog specs, and each local model again with g = Im of its
+    defining monomial as g_terms, so entries can be edited."""
+    bases = [json.loads(catalog_path(name)) for name in CATALOG_NAMES]
+    for base in list(bases):
+        if base["kind"] == "local_model":
+            xi = DefiningVector.from_entries(base["xi"])
+            terms = polynomial_to_terms(InvariantPolynomial.imag_defining_monomial(xi))
+            bases.append(dict(base, g_terms=terms))
+    return bases
+
+
+def _edit_list(rng, items: list) -> None:
+    """Swap, append or drop one entry of a list, in place."""
+    op = rng.randrange(3)
+    if op == 0 and items:
+        items[rng.randrange(len(items))] = copy.deepcopy(rng.choice(_ODD_VALUES))
+    elif op == 1:
+        items.append(copy.deepcopy(rng.choice(_ODD_VALUES)))
+    elif items:
+        items.pop(rng.randrange(len(items)))
+
+
+def _mutate_spec(rng, spec: dict) -> None:
+    """One random edit of a spec dict, in place: a key dropped, an unknown
+    or missing key added, a value swapped for an odd one, or a weights
+    row, xi, a g_terms entry or a point edited."""
+    op = rng.randrange(7)
+    if op == 0 and spec:
+        del spec[rng.choice(sorted(spec))]
+    elif op == 1:
+        key = rng.choice(["extra", "Name", "weights", "xi", "g_terms", "metadata", "points"])
+        spec[key] = copy.deepcopy(rng.choice(
+            _ODD_VALUES + ([[1, 0, 1], [0, 1, 1]], [[1, 0], [0]], [[1, 0], [2.5, 1]],
+                           [[1, 0, 1], [0, 1, True]], [1, 1, -1], [[]])))
+    elif op == 2 and spec:
+        spec[rng.choice(sorted(spec))] = copy.deepcopy(rng.choice(_ODD_VALUES))
+    elif op == 3 and isinstance(spec.get("weights"), list) and spec["weights"]:
+        rows = spec["weights"]
+        row = rng.randrange(len(rows))
+        if isinstance(rows[row], list) and rng.random() < 0.8:
+            _edit_list(rng, rows[row])
+        else:
+            rows[row] = copy.deepcopy(rng.choice(_ODD_VALUES))
+    elif op == 4 and isinstance(spec.get("g_terms"), list) and spec["g_terms"]:
+        terms = spec["g_terms"]
+        entry = terms[rng.randrange(len(terms))]
+        if not isinstance(entry, dict):
+            terms.append(copy.deepcopy(rng.choice(_ODD_VALUES)))
+        elif rng.random() < 0.15:
+            entry.pop(rng.choice("abc"), None)
+        elif rng.random() < 0.15:
+            entry["d"] = 0
+        else:
+            key = rng.choice("abc")
+            if isinstance(entry.get(key), list) and rng.random() < 0.7:
+                _edit_list(rng, entry[key])
+            else:
+                entry[key] = copy.deepcopy(rng.choice(_ODD_VALUES))
+    elif op == 5 and isinstance(spec.get("xi"), list):
+        _edit_list(rng, spec["xi"])
+    elif op == 6 and isinstance(spec.get("points"), list) and spec["points"]:
+        point = rng.choice(spec["points"])
+        if isinstance(point, dict) and point:
+            values = point[rng.choice(sorted(point))]
+            if isinstance(values, list) and values:
+                target = rng.choice(values) if isinstance(values[0], list) else values
+                if isinstance(target, list):
+                    _edit_list(rng, target)
+
+
+def _spec_mutations(count: int, seed: int) -> list:
+    """count seeded mutants of the catalog specs, one to three edits each,
+    after a few values that are not objects at all."""
+    rng = random.Random(seed)
+    bases = _spec_bases()
+    mutants = [None, True, 2, "spec", [], [bases[0]]]
+    while len(mutants) < count:
+        spec = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            _mutate_spec(rng, spec)
+        mutants.append(spec)
+    return mutants
+
+
+def test_spec_parser_refuses_what_the_schema_refuses():
+    # load_system_spec checks specs with no schema engine; held to the shipped
+    # schema on seeded mutants, it refuses each schema-invalid one with a
+    # ParseError, and no input raises anything but an EphemeraError
+    schema = schema_validator("system_spec.schema.json")
+    outcomes, slipped = Counter(), []
+    for spec in _spec_mutations(4000, seed=25):
+        valid = schema.is_valid(spec)
+        try:
+            load_system_spec(spec)
+            outcome = "loaded"
+        except ParseError:
+            outcome = "refused"
+        except EphemeraError:
+            outcome = "refused by the system"
+        outcomes[valid, outcome] += 1
+        if not valid and outcome != "refused":
+            slipped.append(spec)
+    assert slipped == []
+    # the corpus reaches every branch: invalid specs, and valid ones both
+    # loaded and refused by a semantic check
+    assert outcomes[False, "refused"] > 2000
+    assert outcomes[True, "loaded"] > 500
+    assert outcomes[True, "refused"] + outcomes[True, "refused by the system"] > 100
+
+
 @pytest.mark.parametrize("text", ["1e1000000", "1e10000000", "-1e-1000000", "1+1e1000000i"])
 def test_huge_decimal_exponent_exits_2_at_once(text, tmp_path):
     # Fraction would build the exact power of ten (seconds at seven digits);
@@ -1026,6 +1145,19 @@ def test_bench_trace_sees_every_classifier_stage():
     assert calls["classifier.stabilizer_slice"] == len(cases)
     assert calls["classifier.lagrange_multiplier"] == critical
     assert calls["classifier.slice_hessian_blocks"] == critical
+
+
+def test_cli_import_loads_no_jsonschema():
+    # serial checks spec files itself; the schema engine and its dependencies
+    # cost every CLI start time and memory
+    engine = ("jsonschema", "referencing", "rpds", "attrs")
+    code = (
+        "import sys, ephemera.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {engine!r}))"
+    )
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():
