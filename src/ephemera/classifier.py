@@ -287,13 +287,12 @@ def support_of(z, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_vanishing(np.asarray(z, dtype=complex), tol)).tolist())
 
 
-def _groups(keys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(key, row indices) for each distinct row of an (m, k) array."""
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of an (m, k) array, the index of each row among them)."""
     if np.all(keys == keys[:1]):  # the common case, and every single point
-        return [(keys[0], np.arange(len(keys)))]
+        return keys[:1], np.zeros(len(keys), dtype=int)
     unique, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return [(key, np.flatnonzero(inverse == g)) for g, key in enumerate(unique)]
+    return unique, inverse.reshape(-1)
 
 
 def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
@@ -349,15 +348,12 @@ def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
     ).without_constant()
 
 
-def _kernel_of(dphi: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal kernel (columns) of D(Phi) listed by rows, (..., 2k, 2k - rank).
-
-    rank is D(Phi)'s rank, sys.torus_dim minus the stabilizer rank of the
-    points' support; the kernel is read from one stacked SVD (with no rows,
-    V = I) and laid out C-contiguous.
-    """
-    vt = np.linalg.svd(dphi)[2]
-    return np.ascontiguousarray(np.swapaxes(vt[..., rank:, :], -1, -2))
+def _kernel_of(dphi: np.ndarray) -> np.ndarray:
+    """V of one stacked SVD of D(Phi) listed by rows, (..., 2k, 2k): the
+    columns past a point's rank of D(Phi) are an orthonormal basis of its
+    kernel (with no rows, V = I).  That rank is sys.torus_dim minus the
+    stabilizer rank of the point's support, so no threshold reads it."""
+    return np.swapaxes(np.linalg.svd(dphi)[2], -1, -2)
 
 
 def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0):
@@ -425,20 +421,22 @@ def _symplectic_slice(jmat: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray,
     return u, 2 * kernel.shape[-1] - kernel.shape[-2]
 
 
-def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
+def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, lie_basis):
     """Block types of the linearized flow on the reduced symplectic slice.
 
-    kernel holds ker D(Phi) at z as orthonormal columns and stab the
-    stabilizer data of z's support; the point must be critical modulo Phi
-    with multiplier mu.  Builds the slice ker D(Phi) ∩ J ker D(Phi),
-    restricts the Hessian of g~ = g - Phi^mu and the stabilizer's quadratic
-    moment components, and reads block types off the spectrum of J times a
-    fixed generic combination.  Degeneracy: a near-zero eigenvalue, or the
-    restricted forms spanning less than the complex slice dimension.
+    kernel holds ker D(Phi) at z as orthonormal columns and lie_basis the
+    Lie basis of z's stabilizer as an (r, d) array; the point must be
+    critical modulo Phi with multiplier mu.  Builds the slice ker D(Phi) ∩
+    J ker D(Phi), restricts the Hessian of g~ = g - Phi^mu and the
+    stabilizer's quadratic moment components, and reads block types off the
+    spectrum of J times a fixed generic combination.  Degeneracy: a
+    near-zero eigenvalue, or the restricted forms spanning less than the
+    complex slice dimension.
 
     Returns (blocks, degenerate, diagnostics).  For a stack of points of one
-    support (z (m, k), mu (m, d), kernel (m, 2k, n)) it
-    returns a list of these, one per point; the linear algebra runs stacked.
+    stabilizer rank r (z (m, k), mu (m, d), kernel (m, 2k, n), lie_basis
+    (m, r, d)) it returns a list of these, one per point; the linear algebra
+    runs stacked.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
@@ -448,36 +446,34 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, stab: StabilizerData):
     mu = np.asarray(mu, dtype=float).reshape(m, sys.torus_dim)
     kernel = np.asarray(kernel, dtype=float)
     kernel = kernel.reshape((m,) + kernel.shape[-2:])
+    lie_basis = np.asarray(lie_basis, dtype=float)
+    lie_basis = lie_basis.reshape((m,) + lie_basis.shape[-2:])
     u, dim = _symplectic_slice(sys.complex_structure, kernel)
     if dim:
-        results = _slice_spectra(sys, z, mu, kernel, u[:, :, :dim], stab)
+        results = _slice_spectra(sys, z, mu, kernel, u[:, :, :dim], lie_basis)
     else:
         results = [([], False, {"slice_dim": 0}) for _ in range(m)]
     return results[0] if single else results
 
 
-def _slice_spectra(sys, z, mu, kernel, slice_basis, stab) -> list:
-    """slice_hessian_blocks for a stack of one support:
-    kernel (m, 2k, n), slice_basis (m, 2k, dim)."""
+def _slice_spectra(sys, z, mu, kernel, slice_basis, lie_basis) -> list:
+    """slice_hessian_blocks for a stack of one stabilizer rank r:
+    kernel (m, 2k, n), slice_basis (m, 2k, dim), lie_basis (m, r, d)."""
     dim = slice_basis.shape[-1]
-    s_cplx = dim // 2
     jmat = sys.complex_structure
     basis_t = np.swapaxes(slice_basis, -1, -2)
     # J-invariance and symplectic orthogonality (S stays in ker) cross-checks
     j_s = basis_t @ jmat @ slice_basis
-    leak = np.linalg.norm(jmat @ slice_basis - slice_basis @ j_s, axis=(-2, -1))
+    leak = np.linalg.norm(jmat @ slice_basis - slice_basis @ j_s, axis=(-2, -1)).tolist()
     orthogonality = None
     if kernel.shape[-1] < 2 * sys.coords:
         orthogonality = np.linalg.norm(
             slice_basis - kernel @ (np.swapaxes(kernel, -1, -2) @ slice_basis), axis=(-2, -1)
-        )
+        ).tolist()
     hess_gt = sys.hess_g(z) - sys.hess_phi(mu)
-    lie = sys.hess_phi(
-        np.array(stab.lie_basis, dtype=float).reshape(len(stab.lie_basis), sys.torus_dim)
-    )
     forms = np.concatenate(
         [(basis_t @ hess_gt @ slice_basis)[:, None],
-         basis_t[:, None] @ lie @ slice_basis[:, None]],
+         basis_t[:, None] @ sys.hess_phi(lie_basis) @ slice_basis[:, None]],
         axis=1,
     )
     # span rank of the restricted quadratic forms
@@ -492,32 +488,40 @@ def _slice_spectra(sys, z, mu, kernel, slice_basis, stab) -> list:
         scaled /= np.where(kept, norms[:, i], 1.0)[:, None, None]
         combo += np.where(kept[:, None, None], scaled, 0.0)
     eigs = np.linalg.eigvals(j_s @ combo)
-    g_eigs = np.linalg.eigvals(j_s @ forms[:, 0])
+    # the pairing's numpy work for the whole stack, in one call each
+    moduli = np.abs(eigs)
+    scales = np.max(moduli, axis=-1).tolist()
+    orders = np.argsort(-moduli, axis=-1).tolist()
+    values = eigs.astype(complex).tolist()
+    g_values = np.linalg.eigvals(j_s @ forms[:, 0]).astype(complex).tolist()
+    short = (span_rank < dim // 2).tolist()
     out = []
-    for p in range(len(z)):
-        diagnostics: dict = {"slice_dim": dim, "j_invariance_defect": float(leak[p])}
+    for p, rank in enumerate(span_rank.tolist()):
+        diagnostics: dict = {"slice_dim": dim, "j_invariance_defect": leak[p]}
         if orthogonality is not None:
-            diagnostics["symplectic_orthogonality_defect"] = float(orthogonality[p])
-        diagnostics["form_span_rank"] = int(span_rank[p])
-        diagnostics["eigenvalues"] = tuple(map(complex, eigs[p]))
-        diagnostics["g_only_eigenvalues"] = tuple(map(complex, g_eigs[p]))
-        blocks, degenerate = _pair_blocks(eigs[p], span_rank[p] < s_cplx)
+            diagnostics["symplectic_orthogonality_defect"] = orthogonality[p]
+        diagnostics["form_span_rank"] = rank
+        diagnostics["eigenvalues"] = tuple(values[p])
+        diagnostics["g_only_eigenvalues"] = tuple(g_values[p])
+        blocks, degenerate = _pair_blocks(values[p], orders[p], scales[p], short[p])
         out.append((blocks, degenerate, diagnostics))
     return out
 
 
-def _pair_blocks(eigs: np.ndarray, degenerate: bool) -> tuple[list[BlockData], bool]:
+def _pair_blocks(values: list, order: list, scale: float,
+                 degenerate: bool) -> tuple[list[BlockData], bool]:
     """Group a Hamiltonian spectrum into blocks, largest modulus first.
 
-    The pairing runs on Python scalars: the same IEEE operations as numpy
-    scalars (abs is hypot in both), without their per-operation overhead.
+    values are the eigenvalues as Python complex numbers, order their
+    indices by falling modulus and scale the largest modulus, all read off
+    the stack by _slice_spectra.  The pairing runs on Python scalars: the
+    same IEEE operations as numpy scalars (abs is hypot in both), without
+    their per-operation overhead.
     """
-    scale = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    degenerate = bool(degenerate) or scale == 0.0
-    values = [complex(x) for x in eigs.tolist()]
+    degenerate = degenerate or scale == 0.0
     blocks: list[BlockData] = []
     used = [False] * len(values)
-    for idx in np.argsort(-np.abs(eigs)).tolist():
+    for idx in order:
         if used[idx]:
             continue
         lam = values[idx]
@@ -574,40 +578,57 @@ def classify_points(
 ) -> list[SingularityReport]:
     """Classify each point of an (m, k) array (or a list of points), in order.
 
-    Points are grouped by support.  Each group derives its stabilizer once
-    and runs D(Phi), its kernel, grad g, the criticality rule, the
-    multipliers and the slice eigenproblem as stacked calls; the support's
-    stabilizer fixes the rank of D(Phi), so every kernel of a group has one
-    width.  These numbers are taken on the stratum, with the group's vanishing
-    coordinates set to 0 (exact zeros, signed ones included, stay as they
-    are); the reports list the points as given.  The eigenvalue pairing and
-    the exact jet path run per point.  tolerance_scale multiplies the
-    criticality and multiplier thresholds.
+    Each point is put on its stratum, with its vanishing coordinates set to
+    0 (exact zeros, signed ones included, stay as they are); the numbers
+    are taken there, and the reports list the points as given.  The
+    stabilizer is derived once per support.  D(Phi), its one stacked SVD,
+    grad g and (over the critical points) the multipliers are computed once
+    per call.  A support's stabilizer rank r fixes every shape (the kernel
+    of D(Phi) has width 2k - d + r), so the criticality rule and the slice
+    eigenproblem run once per rank, each point's kernel read off the SVD.
+    The eigenvalue pairing and the exact jet path run per point.
+    tolerance_scale multiplies the criticality and multiplier thresholds.
     """
-    k = sys.coords
+    k, d = sys.coords, sys.torus_dim
     z_all = np.asarray(points, dtype=complex)
     if z_all.size == 0:
         return []
     if z_all.ndim != 2 or z_all.shape[1] != k:
         raise ValueError(f"expected points of {k} coordinates, got shape {z_all.shape}")
-    reports: list = [None] * len(z_all)
-    for mask, rows in _groups(_vanishing(z_all, SUPPORT_TOL)):
-        support = tuple(np.flatnonzero(mask).tolist())
-        stab = stabilizer_slice(sys, support)
-        listed = z_all[rows]
-        z = np.where(mask & (listed != 0), 0, listed)
-        dphi = sys.dphi(z)
-        kernel = _kernel_of(dphi, sys.torus_dim - stab.rank)
-        grad = sys.grad_g(z)
-        crit = np.flatnonzero(is_critical_mod_phi(kernel, grad, tolerance_scale))
-        critical_data = {}
-        if len(crit):
-            mu = lagrange_multiplier(dphi[crit], grad[crit], tolerance_scale)
-            blocks = slice_hessian_blocks(sys, z[crit], mu, kernel[crit], stab)
-            critical_data = {i: (m, *b) for i, m, b in zip(crit.tolist(), mu, blocks)}
-        for i, row in enumerate(rows.tolist()):
-            reports[row] = _report(sys, listed[i], support, stab, critical_data.get(i))
-    return reports
+    vanishing = _vanishing(z_all, SUPPORT_TOL)
+    z = np.where(vanishing & (z_all != 0), 0, z_all)
+    masks, which = _groups(vanishing)
+    supports = [tuple(np.flatnonzero(mask).tolist()) for mask in masks]
+    stabs = [stabilizer_slice(sys, support) for support in supports]
+    ranks = np.array([stab.rank for stab in stabs])[which]
+    dphi = sys.dphi(z)
+    basis = _kernel_of(dphi)
+    grad = sys.grad_g(z)
+    critical = np.zeros(len(z), dtype=bool)
+    strata = []  # (rank, critical rows, their kernels)
+    for r in np.unique(ranks).tolist():
+        rows = np.flatnonzero(ranks == r)
+        kernel = np.ascontiguousarray(basis[rows, :, d - r:])
+        on = is_critical_mod_phi(kernel, grad[rows], tolerance_scale)
+        critical[rows[on]] = True
+        strata.append((r, rows[on], kernel[on]))
+    critical_data = {}
+    if critical.any():
+        mu = np.zeros((len(z), d))
+        mu[critical] = lagrange_multiplier(dphi[critical], grad[critical], tolerance_scale)
+        for r, rows, kernel in strata:
+            if len(rows):
+                lie = np.array([stabs[w].lie_basis for w in which[rows]], dtype=float)
+                blocks = slice_hessian_blocks(
+                    sys, z[rows], mu[rows], kernel, lie.reshape(len(rows), r, d)
+                )
+                critical_data.update(
+                    (i, (m, *b)) for i, m, b in zip(rows.tolist(), mu[rows], blocks)
+                )
+    return [
+        _report(sys, z_all[i], supports[w], stabs[w], critical_data.get(i))
+        for i, w in enumerate(which.tolist())
+    ]
 
 
 def _report(sys, z, support, stab, critical_data) -> SingularityReport:

@@ -168,7 +168,8 @@ def load_system_spec(data: dict):
 def _numbers(value, what: str, kind="a number", min_length=0) -> list:
     """value as a list of at least min_length JSON numbers (true and false
     are not), each of a kind: "a number" fits a float, "an integer" is an
-    int or an integral float, as the schema counts them, or "an integer >= 0"."""
+    int or an integral float, as the schema counts them, or "an integer >= 0".
+    Integers must fit numpy's int64, the type of SystemSpec.weight_array."""
     if not isinstance(value, list):
         raise ParseError(f"{what} is not a list")
     if len(value) < min_length:
@@ -178,6 +179,8 @@ def _numbers(value, what: str, kind="a number", min_length=0) -> list:
                 or kind != "a number" and isinstance(x, float) and not x.is_integer()
                 or kind == "an integer >= 0" and x < 0):
             raise ParseError(f"{what} holds {x!r}, not {kind}")
+        if kind != "a number" and not -2**63 <= x < 2**63:
+            raise ParseError(f"{what} holds {x!r}, beyond a 64-bit integer")
         if kind == "a number":
             try:
                 float(x)

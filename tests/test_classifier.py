@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -31,7 +32,7 @@ from ephemera.errors import InvalidAction, NotCriticalModPhi
 from ephemera.family import PolarPoint, build_family
 from ephemera.jets import InvariantPolynomial, eval_terms, wirtinger_terms
 from ephemera.lattice import DefiningVector, WeightMatrix, smith_normal_form
-from ephemera.serial import load_spec_bytes
+from ephemera.serial import load_spec_bytes, report_to_json
 from oracle_helpers import (
     pullback_rotation,
     radius_power,
@@ -506,13 +507,14 @@ def test_block_typing_invariant_under_multiplier_shift():
     rep = classify_point(sys, z)
     mu = np.array(rep.multiplier)
     stab = stabilizer_slice(sys, (0, 1))
-    kernel = _kernel_of(sys.dphi(z), sys.torus_dim - stab.rank)
+    kernel = _kernel_of(sys.dphi(z))[:, sys.torus_dim - stab.rank:]
     assert stab.lie_basis  # positive-dimensional stabilizer
-    for zeta in stab.lie_basis:
-        shifted = mu + 0.7 * np.array(zeta, dtype=float)
+    lie = np.array(stab.lie_basis, dtype=float)
+    for zeta in lie:
+        shifted = mu + 0.7 * zeta
         residual = sys.dphi(z).T @ shifted - sys.grad_g(z)
         assert np.linalg.norm(residual) <= 1e-10
-        blocks1, degen1, _ = slice_hessian_blocks(sys, z, shifted, kernel, stab)
+        blocks1, degen1, _ = slice_hessian_blocks(sys, z, shifted, kernel, lie)
         assert sorted(b.kind for b in blocks1) == sorted(b.kind for b in rep.blocks)
         assert degen1 == _degenerate(rep)
 
@@ -831,7 +833,7 @@ def _orbit_complement_slice(sys: SystemSpec, z) -> tuple[np.ndarray, np.ndarray]
     orthonormal complement, inside ker D(Phi), of the orbit directions
     J D(Phi)^T (the Hamiltonian vector fields of the components of Phi)."""
     dphi = sys.dphi(z)
-    kernel = _kernel_of(dphi, sys.torus_dim - stabilizer_slice(sys, support_of(z)).rank)
+    kernel = _kernel_of(dphi)[:, sys.torus_dim - stabilizer_slice(sys, support_of(z)).rank:]
     orbit = standard_complex_structure(sys.coords) @ dphi.T
     q = orbit[:, :0]
     if orbit.size:
@@ -863,9 +865,11 @@ def test_symplectic_slice_matches_orbit_complement_oracle():
     assert {2, 4, 6, 8} <= set(dims), dims
 
 
-def test_classify_points_derives_once_per_support_group(monkeypatch):
-    # 50 points over 5 supports: the stabilizer, D(Phi), its kernels and
-    # grad g are derived once per support group, not once per point
+def test_classify_points_derives_once_per_call_support_and_rank(monkeypatch):
+    # 50 points over 5 supports: the stabilizer is derived once per support;
+    # D(Phi), its SVD (_kernel_of), grad g and the multipliers once per
+    # call; the criticality rule once per stabilizer rank and the slice
+    # eigenproblem once per rank among the critical points
     counts = Counter()
 
     def counted(name, fn):
@@ -880,6 +884,9 @@ def test_classify_points_derives_once_per_support_group(monkeypatch):
         (SystemSpec, "grad_g"),
         (ephemera.classifier, "_kernel_of"),
         (ephemera.classifier, "stabilizer_slice"),
+        (ephemera.classifier, "is_critical_mod_phi"),
+        (ephemera.classifier, "lagrange_multiplier"),
+        (ephemera.classifier, "slice_hessian_blocks"),
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     rng = np.random.default_rng(39)
@@ -887,7 +894,52 @@ def test_classify_points_derives_once_per_support_group(monkeypatch):
     points = [support_pattern_point(FAMILY_21M1, s, rng).to_complex() for s in supports]
     reports = ephemera.classifier.classify_points(FAMILY_21M1, points)
     assert [r.support for r in reports] == list(supports)
-    assert counts == {"dphi": 5, "grad_g": 5, "_kernel_of": 5, "stabilizer_slice": 5}
+    ranks = {r.stabilizer.rank for r in reports}
+    critical_ranks = {r.stabilizer.rank for r in reports if r.critical_mod_phi}
+    assert len(ranks) < 5 and critical_ranks, (ranks, critical_ranks)
+    assert counts == {
+        "dphi": 1, "grad_g": 1, "_kernel_of": 1, "stabilizer_slice": 5,
+        "is_critical_mod_phi": len(ranks), "lagrange_multiplier": 1,
+        "slice_hessian_blocks": len(critical_ranks),
+    }
+
+
+def test_rank_stacks_give_the_reports_of_one_stack_per_support():
+    # a shuffled batch of every support pattern, tolerance zeros and
+    # closed-form critical points gives, point for point, the same report
+    # JSON strings as classify_points on each support's points alone: the
+    # stacks of one stabilizer rank mix supports without moving a bit
+    rng = np.random.default_rng(47)
+    families = [FAMILY_11M1, FAMILY_21M1] + [
+        build_family(w) for w in generated_weight_matrices(14, seed=47) if w.n >= 3
+    ]
+    assert {fam.coords for fam in families} == {3, 4, 5}
+    mixed = 0
+    for fam in families:
+        points = _points_of_every_support(fam, rng)
+        for _ in range(4):
+            try:
+                points.append(support_pattern_point(fam, (), rng, critical=True).to_complex())
+            except ValueError:  # exponents of one sign: no critical open point
+                break
+        points = [points[i] for i in rng.permutation(len(points))]
+        batched = classify_points(fam, np.array(points))
+        by_support = {}
+        for i, report in enumerate(batched):
+            by_support.setdefault(report.support, []).append(i)
+        for rows in by_support.values():
+            alone = classify_points(fam, np.array([points[i] for i in rows]))
+            for i, report in zip(rows, alone):
+                assert json.dumps(report_to_json(batched[i])) == json.dumps(
+                    report_to_json(report)
+                ), (fam.xi.xi, batched[i].support)
+        # critical stacks of one rank that hold points of two supports or more
+        supports_per_rank = Counter(
+            rank for rank, _ in {(r.stabilizer.rank, r.support) for r in batched
+                                 if r.critical_mod_phi}
+        )
+        mixed += sum(n > 1 for n in supports_per_rank.values())
+    assert mixed >= len(families)
 
 
 def test_near_zero_coordinates_are_classified_on_their_stratum():
