@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidAction, NotCriticalModPhi, NotInvariant, NotTall,
-                     PrerequisiteVanishingFailed)
+from .errors import InvalidAction, NotInvariant, NotTall, PrerequisiteVanishingFailed
 from .jets import (
     ChartJet,
     InvariantPolynomial,
@@ -40,7 +39,8 @@ RANK_TOL = 1e-8
 # The one vanishing rule: a coordinate is zero at or below 1e-8 of the
 # point's scale.  The support fixes the stabilizer, whose rank fixes that of
 # D(Phi); a smaller tolerance would keep in the row space directions of
-# singular value below 1e-8, which an SVD fixes only to about eps over it.
+# singular value below 1e-8, which an SVD fixes only to about eps over it
+# and whose inverse scales the multiplier.
 SUPPORT_TOL = 1e-8
 EIG_TOL = 1e-7
 
@@ -348,12 +348,14 @@ def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
     ).without_constant()
 
 
-def _kernel_of(dphi: np.ndarray) -> np.ndarray:
-    """V of one stacked SVD of D(Phi) listed by rows, (..., 2k, 2k): the
-    columns past a point's rank of D(Phi) are an orthonormal basis of its
-    kernel (with no rows, V = I).  That rank is sys.torus_dim minus the
-    stabilizer rank of the point's support, so no threshold reads it."""
-    return np.swapaxes(np.linalg.svd(dphi)[2], -1, -2)
+def _dphi_svd(dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, v) of one stacked SVD of D(Phi) listed by rows, (..., d, 2k),
+    with dphi = u diag(s) v[..., :d]^T.  A point's rank q of D(Phi) is
+    sys.torus_dim minus the stabilizer rank of its support, so no threshold
+    reads it: the first q columns of v span the row space and the rest are
+    an orthonormal basis of the kernel (with no rows, v = I)."""
+    u, s, vt = np.linalg.svd(dphi)
+    return u, s, np.swapaxes(vt, -1, -2)
 
 
 def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0):
@@ -376,32 +378,16 @@ def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0):
     return bool(critical) if critical.ndim == 0 else critical
 
 
-def lagrange_multiplier(dphi, grad, tolerance_scale: float = 1.0) -> np.ndarray:
-    """Least-squares mu with dphi^T mu = grad, dphi listing D(Phi) by rows.
+def lagrange_multiplier(u, s, row_space, grad) -> np.ndarray:
+    """The minimum-norm mu with D(Phi)^T mu = grad on the row space of D(Phi).
 
-    The minimum-norm solution of np.linalg.lstsq with rcond=None (singular
-    values at most eps * max(2k, d) times the largest count as zero), for
-    dphi (..., d, 2k) and grad (..., 2k) with any batch axes.  Raises
-    NotCriticalModPhi when a residual exceeds RANK_TOL * tolerance_scale *
-    (1 + |grad|), the bound of is_critical_mod_phi.
+    u (..., d, q), s (..., q) and row_space (..., 2k, q) are the first q
+    singular triplets of D(Phi) from _dphi_svd, q its rank, and grad
+    (..., 2k); mu = u diag(1/s) row_space^T grad.  The residual is grad's
+    part in ker D(Phi), which is_critical_mod_phi has already bounded.
     """
-    dphi = np.asarray(dphi, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if not dphi.shape[-2]:
-        return np.zeros(grad.shape[:-1] + (0,))
-    a = np.swapaxes(dphi, -1, -2)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
-    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    along = inverse * (np.swapaxes(u, -1, -2) @ grad[..., None])[..., 0]
-    mu = (np.swapaxes(vt, -1, -2) @ along[..., None])[..., 0]
-    residual = np.linalg.norm((a @ mu[..., None])[..., 0] - grad, axis=-1)
-    bound = RANK_TOL * tolerance_scale * (1.0 + np.linalg.norm(grad, axis=-1))
-    too_large = residual > bound
-    if np.any(too_large):
-        worst = float(np.max(residual[too_large]))
-        raise NotCriticalModPhi(f"multiplier residual {worst:.2e} too large")
-    return mu
+    along = (np.swapaxes(row_space, -1, -2) @ grad[..., None])[..., 0] / s
+    return (u @ along[..., None])[..., 0]
 
 
 @dataclass
@@ -581,13 +567,13 @@ def classify_points(
     Each point is put on its stratum, with its vanishing coordinates set to
     0 (exact zeros, signed ones included, stay as they are); the numbers
     are taken there, and the reports list the points as given.  The
-    stabilizer is derived once per support.  D(Phi), its one stacked SVD,
-    grad g and (over the critical points) the multipliers are computed once
-    per call.  A support's stabilizer rank r fixes every shape (the kernel
-    of D(Phi) has width 2k - d + r), so the criticality rule and the slice
-    eigenproblem run once per rank, each point's kernel read off the SVD.
-    The eigenvalue pairing and the exact jet path run per point.
-    tolerance_scale multiplies the criticality and multiplier thresholds.
+    stabilizer is derived once per support.  D(Phi), its one stacked SVD
+    and grad g are computed once per call.  A support's stabilizer rank r
+    fixes every shape (D(Phi) has rank q = d - r), so the criticality rule,
+    the multipliers and the slice eigenproblem run once per rank, reading
+    each point's kernel and singular triplets off the SVD.  The eigenvalue
+    pairing and the exact jet path run per point.  tolerance_scale
+    multiplies the criticality threshold.
     """
     k, d = sys.coords, sys.torus_dim
     z_all = np.asarray(points, dtype=complex)
@@ -601,30 +587,22 @@ def classify_points(
     supports = [tuple(np.flatnonzero(mask).tolist()) for mask in masks]
     stabs = [stabilizer_slice(sys, support) for support in supports]
     ranks = np.array([stab.rank for stab in stabs])[which]
-    dphi = sys.dphi(z)
-    basis = _kernel_of(dphi)
+    u, s, v = _dphi_svd(sys.dphi(z))
     grad = sys.grad_g(z)
-    critical = np.zeros(len(z), dtype=bool)
-    strata = []  # (rank, critical rows, their kernels)
-    for r in np.unique(ranks).tolist():
-        rows = np.flatnonzero(ranks == r)
-        kernel = np.ascontiguousarray(basis[rows, :, d - r:])
-        on = is_critical_mod_phi(kernel, grad[rows], tolerance_scale)
-        critical[rows[on]] = True
-        strata.append((r, rows[on], kernel[on]))
     critical_data = {}
-    if critical.any():
-        mu = np.zeros((len(z), d))
-        mu[critical] = lagrange_multiplier(dphi[critical], grad[critical], tolerance_scale)
-        for r, rows, kernel in strata:
-            if len(rows):
-                lie = np.array([stabs[w].lie_basis for w in which[rows]], dtype=float)
-                blocks = slice_hessian_blocks(
-                    sys, z[rows], mu[rows], kernel, lie.reshape(len(rows), r, d)
-                )
-                critical_data.update(
-                    (i, (m, *b)) for i, m, b in zip(rows.tolist(), mu[rows], blocks)
-                )
+    for r in np.unique(ranks).tolist():
+        q = d - r
+        rows = np.flatnonzero(ranks == r)
+        kernel = np.ascontiguousarray(v[rows, :, q:])
+        on = is_critical_mod_phi(kernel, grad[rows], tolerance_scale)
+        rows = rows[on]
+        if len(rows):
+            mu = lagrange_multiplier(u[rows, :, :q], s[rows, :q], v[rows, :, :q], grad[rows])
+            lie = np.array([stabs[w].lie_basis for w in which[rows]], dtype=float)
+            blocks = slice_hessian_blocks(
+                sys, z[rows], mu, kernel[on], lie.reshape(len(rows), r, d)
+            )
+            critical_data.update((i, (m, *b)) for i, m, b in zip(rows.tolist(), mu, blocks))
     return [
         _report(sys, z_all[i], supports[w], stabs[w], critical_data.get(i))
         for i, w in enumerate(which.tolist())

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance-scale",
         type=_positive_float,
         default=1.0,
-        help="multiply the criticality and multiplier tolerances by this factor",
+        help="multiply the criticality tolerance by this factor",
     )
     p.set_defaults(func=cmd_classify)
 

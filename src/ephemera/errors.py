@@ -25,10 +25,6 @@ class PrerequisiteVanishingFailed(EphemeraError):
     """Chart jet requires vanishing below the model degree."""
 
 
-class NotCriticalModPhi(EphemeraError):
-    """Point is not a critical point of g modulo the moment map."""
-
-
 class ConditionsNotMet(EphemeraError):
     """Closed-form Hessian needs the two criticality conditions to hold."""
 

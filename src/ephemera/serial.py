@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -102,7 +103,8 @@ def load_system_spec(data: dict):
     Returns (system, points), a SystemSpec and PolarPoints.  Family
     entries give the system of build_family, whose g is Im P (g_terms are
     refused); local-model entries give a system on the slice.  Every
-    listed point must have one finite coordinate per system coordinate.
+    listed point must have one finite coordinate per system coordinate,
+    and a largest radius of 0 or of at least the smallest normal float.
     """
     if not isinstance(data, dict):
         raise ParseError("spec file invalid: not an object")
@@ -148,6 +150,13 @@ def load_system_spec(data: dict):
             )
         if not all(math.isfinite(x) for x in point.r + point.theta):
             raise ParseError(f"point {i} has a non-finite coordinate")
+        # a subnormal coordinate keeps fewer than 53 bits, and the
+        # classifier's tolerances assume full precision; exact zeros are fine
+        if 0.0 < max(point.r) < sys.float_info.min:
+            raise ParseError(
+                f"point {i} is too small for floats: its largest radius "
+                f"{max(point.r):.3g} is below {sys.float_info.min:.3g}"
+            )
     # finite input may still overflow; (coefficient scale * (2 max(1, |z|))^deg)^2
     # bounds every squared value: deg >= 2 covers Phi, 2^deg the Taylor factors
     terms = system.g.terms

@@ -17,18 +17,17 @@ from ephemera.cli import CATALOG_NAMES
 from ephemera.classifier import (
     RANK_TOL,
     SystemSpec,
-    _kernel_of,
+    _dphi_svd,
     classify_point,
     classify_points,
     fiber_verdicts,
-    lagrange_multiplier,
     local_model_system,
     slice_hessian_blocks,
     stabilizer_slice,
     standard_complex_structure,
     support_of,
 )
-from ephemera.errors import InvalidAction, NotCriticalModPhi
+from ephemera.errors import InvalidAction
 from ephemera.family import PolarPoint, build_family
 from ephemera.jets import InvariantPolynomial, eval_terms, wirtinger_terms
 from ephemera.lattice import DefiningVector, WeightMatrix, smith_normal_form
@@ -211,10 +210,41 @@ def test_lagrange_multiplier_catalog_value():
     assert np.allclose(mu, [1.0, 1.0], atol=1e-9)
     residual = sys.dphi(z).T @ mu - sys.grad_g(z)
     assert np.linalg.norm(residual) <= 1e-8 * (1 + np.linalg.norm(sys.grad_g(z)))
-    # the residual check alone refuses a point that is not critical
-    flat = PolarPoint(CATALOG_POINT.r, (0.0, 0.0, 0.0)).to_complex()
-    with pytest.raises(NotCriticalModPhi):
-        lagrange_multiplier(sys.dphi(flat), sys.grad_g(flat))
+
+
+def test_multiplier_is_the_minimum_norm_solve_on_the_stratum():
+    # every critical report's multiplier, at its point put on its stratum,
+    # solves D(Phi)^T mu = grad g within the criticality bound and is
+    # orthogonal to the stabilizer's Lie algebra (the kernel of D(Phi)^T),
+    # so it is the minimum-norm solution: on the criterion-5 families, the
+    # local models and seeded generated families on C^3 to C^5, at points
+    # of every support pattern and closed-form critical points
+    rng = np.random.default_rng(44)
+    systems = [FAMILY_11M1, FAMILY_21M1]
+    systems += [local_model_system(xi) for xi in ((1, 1), (2, 1), (3, 1, 2), (4,))]
+    systems += [build_family(w) for w in generated_weight_matrices(12, seed=45) if w.n >= 3]
+    seen = Counter()
+    for sys in systems:
+        points = _points_of_every_support(sys, rng)
+        try:
+            points += [support_pattern_point(sys, (), rng, critical=True).to_complex()
+                       for _ in range(3)]
+        except ValueError:  # exponents of one sign: no critical open point
+            pass
+        for report in classify_points(sys, points):
+            if not report.critical_mod_phi:
+                continue
+            z = np.array(report.point)
+            z[list(report.support)] = 0
+            mu = np.array(report.multiplier)
+            grad = sys.grad_g(z)
+            residual = np.linalg.norm(sys.dphi(z).T @ mu - grad)
+            assert residual <= RANK_TOL * (1 + np.linalg.norm(grad)), (sys.name, z)
+            for zeta in np.array(report.stabilizer.lie_basis, dtype=float):
+                bound = 1e-12 * (1 + np.linalg.norm(mu)) * np.linalg.norm(zeta)
+                assert abs(mu @ zeta) <= bound, (sys.name, z, mu, zeta)
+            seen[report.stabilizer.rank > 0, bool(report.support)] += 1
+    assert set(seen) == {(False, False), (True, True), (False, True)}, seen
 
 
 def test_multiplier_zero_at_fixed_point():
@@ -507,7 +537,7 @@ def test_block_typing_invariant_under_multiplier_shift():
     rep = classify_point(sys, z)
     mu = np.array(rep.multiplier)
     stab = stabilizer_slice(sys, (0, 1))
-    kernel = _kernel_of(sys.dphi(z))[:, sys.torus_dim - stab.rank:]
+    kernel = _dphi_svd(sys.dphi(z))[2][:, sys.torus_dim - stab.rank:]
     assert stab.lie_basis  # positive-dimensional stabilizer
     lie = np.array(stab.lie_basis, dtype=float)
     for zeta in lie:
@@ -534,7 +564,7 @@ def test_classify_point_derives_each_quantity_once(monkeypatch):
     for owner, name in (
         (SystemSpec, "dphi"),
         (SystemSpec, "grad_g"),
-        (ephemera.classifier, "_kernel_of"),
+        (ephemera.classifier, "_dphi_svd"),
         (ephemera.classifier, "stabilizer_slice"),
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
@@ -547,7 +577,7 @@ def test_classify_point_derives_each_quantity_once(monkeypatch):
     ):
         counts.clear()
         assert classify_point(sys, z).critical_mod_phi is critical
-        assert counts == {"dphi": 1, "grad_g": 1, "_kernel_of": 1, "stabilizer_slice": 1}
+        assert counts == {"dphi": 1, "grad_g": 1, "_dphi_svd": 1, "stabilizer_slice": 1}
 
 
 
@@ -833,7 +863,7 @@ def _orbit_complement_slice(sys: SystemSpec, z) -> tuple[np.ndarray, np.ndarray]
     orthonormal complement, inside ker D(Phi), of the orbit directions
     J D(Phi)^T (the Hamiltonian vector fields of the components of Phi)."""
     dphi = sys.dphi(z)
-    kernel = _kernel_of(dphi)[:, sys.torus_dim - stabilizer_slice(sys, support_of(z)).rank:]
+    kernel = _dphi_svd(dphi)[2][:, sys.torus_dim - stabilizer_slice(sys, support_of(z)).rank:]
     orbit = standard_complex_structure(sys.coords) @ dphi.T
     q = orbit[:, :0]
     if orbit.size:
@@ -867,8 +897,8 @@ def test_symplectic_slice_matches_orbit_complement_oracle():
 
 def test_classify_points_derives_once_per_call_support_and_rank(monkeypatch):
     # 50 points over 5 supports: the stabilizer is derived once per support;
-    # D(Phi), its SVD (_kernel_of), grad g and the multipliers once per
-    # call; the criticality rule once per stabilizer rank and the slice
+    # D(Phi), its SVD (_dphi_svd) and grad g once per call; the criticality
+    # rule once per stabilizer rank, and the multipliers and the slice
     # eigenproblem once per rank among the critical points
     counts = Counter()
 
@@ -882,7 +912,7 @@ def test_classify_points_derives_once_per_call_support_and_rank(monkeypatch):
     for owner, name in (
         (SystemSpec, "dphi"),
         (SystemSpec, "grad_g"),
-        (ephemera.classifier, "_kernel_of"),
+        (ephemera.classifier, "_dphi_svd"),
         (ephemera.classifier, "stabilizer_slice"),
         (ephemera.classifier, "is_critical_mod_phi"),
         (ephemera.classifier, "lagrange_multiplier"),
@@ -898,8 +928,8 @@ def test_classify_points_derives_once_per_call_support_and_rank(monkeypatch):
     critical_ranks = {r.stabilizer.rank for r in reports if r.critical_mod_phi}
     assert len(ranks) < 5 and critical_ranks, (ranks, critical_ranks)
     assert counts == {
-        "dphi": 1, "grad_g": 1, "_kernel_of": 1, "stabilizer_slice": 5,
-        "is_critical_mod_phi": len(ranks), "lagrange_multiplier": 1,
+        "dphi": 1, "grad_g": 1, "_dphi_svd": 1, "stabilizer_slice": 5,
+        "is_critical_mod_phi": len(ranks), "lagrange_multiplier": len(critical_ranks),
         "slice_hessian_blocks": len(critical_ranks),
     }
 

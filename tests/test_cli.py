@@ -844,36 +844,41 @@ def _spec_with_integer(field: str, value: int) -> str:
 
 
 def _extreme_specs():
-    """(spec text, whether it must be refused as beyond a 64-bit integer):
-    integers of every size in weights, xi and g_terms exponents, g
-    coefficients near the largest float, and radii of 1e-300 and 1e300."""
+    """(spec text, the word of its refusal message, or None where it need
+    not be refused): integers of every size in weights, xi and g_terms
+    exponents, g coefficients near the largest float, radii of 1e-300 and
+    1e300, and points whose largest radius is subnormal."""
     for field in ("weights", "xi", "g_terms"):
         for value in (2**31, 2**53, 2**63, 2**64, 10**30, -(2**63) - 1):
             if value > 0 or field != "g_terms":  # a negative exponent is refused as such
-                yield _spec_with_integer(field, value), not -(2**63) <= value < 2**63
+                beyond_int64 = not -(2**63) <= value < 2**63
+                yield _spec_with_integer(field, value), "64-bit" if beyond_int64 else None
     for c in ("1e308", "1.7976931348623157e308", "~1e308,0", "~1.7976931348623157e308,0"):
-        yield _local_model_spec(_mirrored_product_terms(c)), False
+        yield _local_model_spec(_mirrored_product_terms(c)), None
     for r in (1e-300, 1e300):
         for point in ([r, 1.0, 1.0], [r, r, r], [0.0, 0.0, r]):
-            yield _family_spec_with_point(json.dumps({"r": point, "theta": [0, 1, 2]})), False
+            yield _family_spec_with_point(json.dumps({"r": point, "theta": [0, 1, 2]})), None
+    for point in ([1e-310] * 3, [5e-324] * 3, [0, 0, 1e-310]):
+        yield _family_spec_with_point(json.dumps({"r": point, "theta": [0, 1, 2]})), "too small"
 
 
 @pytest.mark.parametrize("command", ["classify", "ephemeral-test", "fiber-scan"])
 def test_cli_extreme_numbers_exit_cleanly(command, tmp_path):
     # JSON integers have no size limit; a weight, an entry of xi or an
     # exponent of any size, a coefficient near the largest float and a
-    # radius of 1e-300 or 1e300 exit 0, 2 or 3 with no other exception, and
-    # an integer beyond 64 bits is refused with exit 2
+    # radius of 1e-300 or 1e300 exit 0, 2 or 3 with no other exception; an
+    # integer beyond 64 bits, and a point whose largest radius is subnormal,
+    # are refused with exit 2
     spec = tmp_path / "extreme.json"
     argv = [command, str(spec), "--out", str(tmp_path / "out.json")]
     if command == "fiber-scan":
         argv += ["--beta-grid=0:1:2,0:1:2", "--c-grid", "3", "--resolution", "64"]
-    for text, beyond_int64 in _extreme_specs():
+    for text, refusal in _extreme_specs():
         spec.write_text(text)
         code, err = _exit_code_and_message(argv)
         assert code in (0, 2, 3), (text, code, err)
-        if beyond_int64:
-            assert code == 2 and err.startswith("error:") and "64-bit" in err, (text, err)
+        if refusal:
+            assert code == 2 and err.startswith("error:") and refusal in err, (text, err)
 
 
 @pytest.mark.parametrize("option", ["--out", "--csv"])
