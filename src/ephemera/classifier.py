@@ -3,7 +3,8 @@
 A system is a torus acting linearly with integer weights (quadratic moment
 map Phi) together with an invariant polynomial g.  Points are classified by
 support, stabilizer, criticality modulo Phi, slice Hessian block types, and
-the chart zero-set predicate; every report carries one label from LABELS.
+the chart zero-set predicate; every report carries one label.  Every system
+has an (n-1)-torus acting on C^n, the kernel of its defining character.
 
 Real coordinates are ordered (x_1, y_1, ..., x_k, y_k).
 """
@@ -44,24 +45,6 @@ RANK_TOL = 1e-8
 SUPPORT_TOL = 1e-8
 EIG_TOL = 1e-7
 
-LABELS = (
-    "regular",
-    "regular-mod-phi-elliptic",
-    "purely-elliptic",
-    "hyperbolic-connected",
-    "nondegenerate-ephemeral(focus-focus)",
-    "nondegenerate-ephemeral(hyperbolic-disconnected)",
-    "degenerate-ephemeral",
-    "short-elliptic",
-    "unclassified-degenerate",
-)
-
-EPHEMERAL_LABELS = (
-    "nondegenerate-ephemeral(focus-focus)",
-    "nondegenerate-ephemeral(hyperbolic-disconnected)",
-    "degenerate-ephemeral",
-)
-
 # deterministic generic-combination coefficients for the block oracle
 _GENERIC_COEFFS = (1.0, 0.6180339887498949, 0.7548776662466927, 0.5698402909980532,
                    0.8191725133961645, 0.6823278038280193)
@@ -71,14 +54,15 @@ _GENERIC_COEFFS = (1.0, 0.6180339887498949, 0.7548776662466927, 0.56984029099805
 class SystemSpec:
     """Torus weights plus an invariant polynomial g.
 
-    weights has one row per torus generator (possibly zero rows for a
-    finite group); xi presents the kernel of the defining character and is
-    kept non-primitive for disconnected stabilizers.  A family on C^n also
-    keeps its validated weight_matrix (whose entries and kernel are weights
-    and xi), and its g is Im P, the imaginary part of the defining
-    monomial; proper says whether its moment map is proper, and is False
-    without a weight matrix.  weight_array holds the weights once more as
-    an integer (d, k) array and complex_structure the standard J on R^2k.
+    weights has one row per generator of a (k-1)-torus on C^k (no rows
+    when k = 1) and xi presents the kernel of the defining character, kept
+    non-primitive for disconnected stabilizers; each row must pair to 0
+    with xi, or InvalidAction is raised.  A family on C^n also keeps its
+    validated weight_matrix (whose entries and kernel are weights and xi),
+    and its g is Im P, the imaginary part of the defining monomial; proper
+    says whether its moment map is proper, and is False without a weight
+    matrix.  weight_array holds the weights once more as an integer (d, k)
+    array and complex_structure the standard J on R^2k.
     The Wirtinger derivative tables of g are built on first use (a fiber
     scan never needs them), and stabilizers holds the stabilizer data of
     each support seen so far.
@@ -96,6 +80,12 @@ class SystemSpec:
     g_derivatives: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        k = self.coords
+        if self.torus_dim != k - 1 or any(
+                len(row) != k or sum(w * x for w, x in zip(row, self.xi.xi))
+                for row in self.weights):
+            raise InvalidAction(f"weights {self.weights} are not a {k - 1} x {k} "
+                                f"matrix that xi = {self.xi.xi} annihilates")
         if self.g.xi != self.xi:
             raise NotInvariant("g carries a different invariance context than the system")
         if not check_invariance(self.g):
@@ -107,9 +97,9 @@ class SystemSpec:
             if self.g != InvariantPolynomial.imag_defining_monomial(self.xi):
                 raise NotInvariant("a family's g must be Im P of its defining vector")
         object.__setattr__(self, "proper", matrix is not None and properness_check(matrix))
-        w = np.array(self.weights, dtype=int).reshape(len(self.weights), self.coords)
+        w = np.array(self.weights, dtype=int).reshape(k - 1, k)
         object.__setattr__(self, "weight_array", w)
-        object.__setattr__(self, "complex_structure", standard_complex_structure(self.coords))
+        object.__setattr__(self, "complex_structure", standard_complex_structure(k))
 
     @property
     def coords(self) -> int:
@@ -275,16 +265,16 @@ def local_model_system(
     return SystemSpec(weights=rows, xi=xi, g=g, name=name)
 
 
-def _vanishing(z: np.ndarray, tol: float) -> np.ndarray:
+def _vanishing(z: np.ndarray) -> np.ndarray:
     """Mask of the coordinates that count as zero, for one point or a (..., k)
-    batch: |z_j| <= tol * max_i |z_i| (exact zeros always count)."""
+    batch: |z_j| <= SUPPORT_TOL * max_i |z_i| (exact zeros always count)."""
     size = np.abs(z)
-    return size <= tol * np.max(size, axis=-1, initial=0.0, keepdims=True)
+    return size <= SUPPORT_TOL * np.max(size, axis=-1, initial=0.0, keepdims=True)
 
 
-def support_of(z, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
+def support_of(z) -> tuple[int, ...]:
     """Indices of the vanishing coordinates (exact zeros always count)."""
-    return tuple(np.flatnonzero(_vanishing(np.asarray(z, dtype=complex), tol)).tolist())
+    return tuple(np.flatnonzero(_vanishing(np.asarray(z, dtype=complex))).tolist())
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,9 +289,10 @@ def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
     """Stabilizer data of the points whose coordinates vanish exactly on a support set.
 
     The identity component's Lie algebra is the integer kernel of the
-    weights of the non-vanishing coordinates; the component count is the
-    gcd of the restricted defining exponents (the finite part lives in the
-    kernel character, not in the weight rows).
+    weights of the non-vanishing coordinates (the whole torus when every
+    coordinate vanishes); the component count is the gcd of the restricted
+    defining exponents (the finite part lives in the kernel character, not
+    in the weight rows).
     """
     support = tuple(sorted(set(support)))
     cached = sys.stabilizers.get(support)
@@ -310,12 +301,7 @@ def stabilizer_slice(sys: SystemSpec, support) -> StabilizerData:
     others = [j for j in range(sys.coords) if j not in support]
     d = sys.torus_dim
     rows = [[sys.weights[a][j] for a in range(d)] for j in others]
-    if rows:
-        lie = kernel_basis(rows)
-    else:
-        lie = tuple(
-            tuple(1 if r == j else 0 for r in range(d)) for j in range(d)
-        )
+    lie = kernel_basis(rows or [[0] * d])
     slice_w = tuple(
         tuple(sum(sys.weights[a][i] * vec[a] for a in range(d)) for vec in lie)
         for i in support
@@ -343,9 +329,7 @@ def slice_data(sys: SystemSpec, point, support) -> InvariantPolynomial:
     xi_r = sys.xi.restrict(support)
     if not xi_r.tall:
         raise NotTall(f"support exponents {xi_r.xi} mix signs")
-    return slice_restriction(
-        sys.g, point, support, xi_r, max_degree=xi_r.degree_N
-    ).without_constant()
+    return slice_restriction(sys.g, point, support, xi_r).without_constant()
 
 
 def _dphi_svd(dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -367,14 +351,10 @@ def is_critical_mod_phi(kernel, grad, tolerance_scale: float = 1.0):
     """
     kernel = np.asarray(kernel, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    if kernel.shape[-1] == 0:
-        critical = np.ones(grad.shape[:-1], dtype=bool)
-    else:
-        tol = RANK_TOL * tolerance_scale
-        along = (np.swapaxes(kernel, -1, -2) @ grad[..., None])[..., 0]
-        critical = np.linalg.norm(along, axis=-1) <= tol * (
-            1.0 + np.linalg.norm(grad, axis=-1)
-        )
+    along = (np.swapaxes(kernel, -1, -2) @ grad[..., None])[..., 0]
+    critical = np.linalg.norm(along, axis=-1) <= RANK_TOL * tolerance_scale * (
+        1.0 + np.linalg.norm(grad, axis=-1)
+    )
     return bool(critical) if critical.ndim == 0 else critical
 
 
@@ -413,11 +393,11 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, lie_basis):
     kernel holds ker D(Phi) at z as orthonormal columns and lie_basis the
     Lie basis of z's stabilizer as an (r, d) array; the point must be
     critical modulo Phi with multiplier mu.  Builds the slice ker D(Phi) ∩
-    J ker D(Phi), restricts the Hessian of g~ = g - Phi^mu and the
-    stabilizer's quadratic moment components, and reads block types off the
-    spectrum of J times a fixed generic combination.  Degeneracy: a
-    near-zero eigenvalue, or the restricted forms spanning less than the
-    complex slice dimension.
+    J ker D(Phi), of real dimension 2(r + 1) for a stabilizer of rank r,
+    restricts the Hessian of g~ = g - Phi^mu and the stabilizer's quadratic
+    moment components, and reads block types off the spectrum of J times a
+    fixed generic combination.  Degeneracy: a near-zero eigenvalue, or the
+    restricted forms spanning less than the complex slice dimension.
 
     Returns (blocks, degenerate, diagnostics).  For a stack of points of one
     stabilizer rank r (z (m, k), mu (m, d), kernel (m, 2k, n), lie_basis
@@ -435,10 +415,7 @@ def slice_hessian_blocks(sys: SystemSpec, z, mu, kernel, lie_basis):
     lie_basis = np.asarray(lie_basis, dtype=float)
     lie_basis = lie_basis.reshape((m,) + lie_basis.shape[-2:])
     u, dim = _symplectic_slice(sys.complex_structure, kernel)
-    if dim:
-        results = _slice_spectra(sys, z, mu, kernel, u[:, :, :dim], lie_basis)
-    else:
-        results = [([], False, {"slice_dim": 0}) for _ in range(m)]
+    results = _slice_spectra(sys, z, mu, kernel, u[:, :, :dim], lie_basis)
     return results[0] if single else results
 
 
@@ -581,7 +558,7 @@ def classify_points(
         return []
     if z_all.ndim != 2 or z_all.shape[1] != k:
         raise ValueError(f"expected points of {k} coordinates, got shape {z_all.shape}")
-    vanishing = _vanishing(z_all, SUPPORT_TOL)
+    vanishing = _vanishing(z_all)
     z = np.where(vanishing & (z_all != 0), 0, z_all)
     masks, which = _groups(vanishing)
     supports = [tuple(np.flatnonzero(mask).tolist()) for mask in masks]

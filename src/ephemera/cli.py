@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -56,12 +57,16 @@ def _catalog_bytes(name: str) -> bytes:
 
 
 def resolve_spec_path(path_or_name: str):
-    """Bytes and label of a path on disk, or of a shipped catalog name."""
+    """Bytes and label of a path on disk, or of a shipped catalog name.
+
+    A path that exists is read.  Otherwise only a catalog name itself, bare
+    or with .json appended, names a shipped spec: any other argument (one
+    with a directory part or another suffix) must be a file."""
     if os.path.exists(path_or_name):
         return read_spec_bytes(path_or_name), path_or_name
-    base = os.path.splitext(os.path.basename(path_or_name))[0]
-    if base in CATALOG_NAMES:
-        return _catalog_bytes(base), base
+    name, suffix = os.path.splitext(path_or_name)
+    if name in CATALOG_NAMES and suffix in ("", ".json"):
+        return _catalog_bytes(name), name
     raise ParseError(f"{path_or_name} is neither a file nor a catalog name")
 
 
@@ -136,14 +141,9 @@ def cmd_classify(args) -> int:
     system, _, reports, digest, label = _classified(args, args.tolerance_scale)
     bundle = _bundle(args, digest, label, started)
     bundle["reports"] = [report_to_json(r) for r in reports]
-    bundle["fiber_verdict"] = None
-    if system.weight_matrix is not None and reports:
-        verdict = fiber_verdicts(reports)
-        bundle["fiber_verdict"] = {
-            "connectivity_expected": verdict.connectivity_expected,
-            "obstruction": verdict.obstruction,
-            "genericity_ok": verdict.genericity_ok,
-        }
+    bundle["fiber_verdict"] = (
+        None if system.weight_matrix is None else dataclasses.asdict(fiber_verdicts(reports))
+    )
     bundle["timing_seconds"] = time.perf_counter() - started
     _emit(bundle, args.out)
     return 0

@@ -93,9 +93,6 @@ def c_is_exact(x) -> bool:
     return isinstance(_coerce(x), RationalComplex)
 
 
-ExponentPair = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class InvariantPolynomial:
     """Real-valued sum of c_{a,b} z^a zbar^b, invariant under ker(chi_xi)."""
@@ -170,9 +167,9 @@ class InvariantPolynomial:
     def eval(self, z) -> float:
         return float(eval_terms(self.terms, z).real)
 
-    def wirtinger(self, j: int, conjugate: bool = False) -> dict:
-        """Raw term dict of the derivative with respect to z_j (or zbar_j)."""
-        return wirtinger_terms(self.terms, j, conjugate)
+    def wirtinger(self, j: int) -> dict:
+        """Raw term dict of the derivative with respect to z_j."""
+        return wirtinger_terms(self.terms, j)
 
 
 def eval_terms(terms: dict, z) -> complex:
@@ -363,26 +360,23 @@ def ephemeral_zero_set_test(jet: ChartJet) -> bool:
 
 
 def slice_restriction(
-    p: InvariantPolynomial,
-    point,
-    support,
-    xi_restricted: DefiningVector,
-    max_degree: int | None = None,
+    p: InvariantPolynomial, point, support, xi_restricted: DefiningVector
 ) -> InvariantPolynomial:
-    """Taylor data of p at a point, restricted to the vanishing coordinates.
+    """Taylor data of p at a point, restricted to the vanishing coordinates,
+    up to the restricted degree N = xi_restricted.degree_N.
 
     Every monomial splits as (coordinates on the support) x (the rest
     evaluated at the base point); the result is a polynomial on the slice,
-    invariant for the restricted exponent vector.  Coefficients become
-    complex floats unless the base point is exactly zero off-support.
+    invariant for the restricted exponent vector, with the terms of degree
+    above N on the support dropped.  Coefficients become complex floats
+    unless the base point is exactly zero off-support.
     """
     point = np.asarray(point, dtype=complex)
     support = sorted(set(support))
     others = [j for j in range(len(point)) if j not in support]
     terms: dict = {}
     for (a, b), c in p.terms.items():
-        deg = sum(a[i] + b[i] for i in support)
-        if max_degree is not None and deg > max_degree:
+        if sum(a[i] + b[i] for i in support) > xi_restricted.degree_N:
             continue
         factor = 1.0 + 0.0j
         ok = True

@@ -99,7 +99,7 @@ def smith_normal_form(a) -> tuple[Matrix, Matrix, Matrix]:
                     break
             if fixed:
                 break
-        if min(m, n) > s and mat[s][s] < 0:
+        if mat[s][s] < 0:
             for c in range(n):
                 mat[s][c] = -mat[s][c]
             for c in range(m):
@@ -116,8 +116,6 @@ def kernel_basis(a) -> tuple[tuple[int, ...], ...]:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    if m == 0:
-        return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
     _, d, v = smith_normal_form(a)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     return tuple(
@@ -156,11 +154,10 @@ class DefiningVector:
 
     @classmethod
     def from_entries(cls, entries) -> "DefiningVector":
-        vec = canonical_sign(entries)
-        if all(x == 0 for x in vec):
+        vec = cls.restriction(entries)
+        if vec.degree_N == 0:
             raise InvalidAction("defining vector must be nonzero")
-        tall, deg = tall_and_degree(vec)
-        return cls(xi=vec, degree_N=deg, tall=tall)
+        return vec
 
     @classmethod
     def restriction(cls, entries) -> "DefiningVector":
@@ -168,9 +165,6 @@ class DefiningVector:
         vec = canonical_sign(entries)
         tall, deg = tall_and_degree(vec)
         return cls(xi=vec, degree_N=deg, tall=tall)
-
-    def __len__(self) -> int:
-        return len(self.xi)
 
     def restrict(self, support) -> "DefiningVector":
         return DefiningVector.restriction([self.xi[i] for i in sorted(support)])

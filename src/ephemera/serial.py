@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifier import BlockData, SingularityReport, local_model_system
+from .classifier import SingularityReport, local_model_system
 from .errors import InvalidAction, ParseError
 from .family import PolarPoint, build_family
 from .fiberlab import ChartVerdict, ConnectivityReport
@@ -253,16 +253,20 @@ def load_spec_file(path: str):
 # -- reports ---------------------------------------------------------------
 
 
-def block_to_json(block: BlockData) -> dict:
-    return {
-        "kind": block.kind,
-        "eigenvalues": [[lam.real, lam.imag] for lam in block.eigenvalues],
-    }
+def _pairs(values) -> list:
+    """Complex numbers as JSON [re, im] pairs."""
+    return [[z.real, z.imag] for z in values]
 
 
 def report_to_json(report: SingularityReport) -> dict:
+    """A report as JSON data; of the diagnostics, only the two spectra,
+    eigenvalues and g_only_eigenvalues, are not JSON values already."""
+    diagnostics = dict(report.diagnostics)
+    for key in ("eigenvalues", "g_only_eigenvalues"):
+        if key in diagnostics:
+            diagnostics[key] = _pairs(diagnostics[key])
     return {
-        "point": [[z.real, z.imag] for z in report.point],
+        "point": _pairs(report.point),
         "support": list(report.support),
         "stabilizer": {
             "rank": report.stabilizer.rank,
@@ -274,24 +278,10 @@ def report_to_json(report: SingularityReport) -> dict:
         "degree": report.degree_N,
         "critical_mod_phi": report.critical_mod_phi,
         "multiplier": list(report.multiplier) if report.multiplier is not None else None,
-        "blocks": [block_to_json(b) for b in report.blocks],
+        "blocks": [{"kind": b.kind, "eigenvalues": _pairs(b.eigenvalues)} for b in report.blocks],
         "label": report.label,
-        "diagnostics": _jsonable(report.diagnostics),
+        "diagnostics": diagnostics,
     }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
 
 
 def chart_verdict_to_json(chart: ChartVerdict) -> dict:

@@ -25,6 +25,12 @@ from ephemera.jets import (
 )
 from ephemera.lattice import DefiningVector, WeightMatrix
 
+EPHEMERAL_LABELS = (
+    "nondegenerate-ephemeral(focus-focus)",
+    "nondegenerate-ephemeral(hyperbolic-disconnected)",
+    "degenerate-ephemeral",
+)
+
 
 def gbar(chart, t, psi) -> np.ndarray:
     """The reduced function R(t) sin(psi) of a fiber-scan chart."""

@@ -28,7 +28,13 @@ from ephemera.family import (
     singularity_conditions,
 )
 from ephemera.errors import InvalidAction
-from ephemera.fiberlab import connectivity_report
+from ephemera.fiberlab import (
+    connectivity_report,
+    critical_scan,
+    level_components,
+    off_critical_levels,
+    reduced_surface,
+)
 from ephemera.jets import (
     InvariantPolynomial,
     chart_jet,
@@ -484,3 +490,29 @@ def test_symmetry_basis_change_leaves_labels_and_scans_unchanged():
     started = time.perf_counter()
     _basis_change_block()
     _budget(started, 10.0, "symmetry: labels and scans constant under W -> U W")
+
+
+def test_symmetry_target_scaling_scales_profiles_and_levels_by_2_to_the_n():
+    # for g = Im P, beta -> 4 beta scales every squared radius s_j by 4
+    # exactly, so R by 2^N: bit for bit on the resolution-512 grid, and the
+    # counts at the levels times 2^N equal the counts at the levels.  The
+    # targets are exact in binary and in decimal, as _ratio reads them
+    started = time.perf_counter()
+    ts = np.linspace(0.0, 1.0, 513)
+    betas = list(itertools.product(np.arange(2, 21, 3) / 8, repeat=2))  # 1/4, ..., 5/2
+    for fam in (FAMILY_11M1, FAMILY_21M1):
+        factor = 2.0 ** fam.xi.degree_N
+        charts = [reduced_surface(fam, beta) for beta in betas]
+        scaled = [reduced_surface(fam, [4 * b for b in beta]) for beta in betas]
+        levels = []
+        for chart, big in zip(charts, scaled):
+            assert not chart.degenerate
+            profile = factor * chart.radius_profile(ts)
+            assert big.radius_profile(ts).tobytes() == profile.tobytes()
+            morse = critical_scan(chart)
+            r_max = max(v for _, _, v, _ in morse.critical_points)
+            levels.append(off_critical_levels(morse, 21, r_max))
+        counts = level_components(charts, levels, 512)
+        assert level_components(scaled, [[factor * c for c in row] for row in levels],
+                                512) == counts
+    _budget(started, 10.0, "symmetry: profiles and level counts scale with the target")

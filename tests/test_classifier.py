@@ -33,6 +33,7 @@ from ephemera.jets import InvariantPolynomial, eval_terms, wirtinger_terms
 from ephemera.lattice import DefiningVector, WeightMatrix, smith_normal_form
 from ephemera.serial import load_spec_bytes, report_to_json
 from oracle_helpers import (
+    EPHEMERAL_LABELS,
     pullback_rotation,
     radius_power,
     real_defining_monomial,
@@ -76,6 +77,20 @@ def test_family_spec_is_its_weight_matrix_with_g_im_p():
         SystemSpec(weights=FAMILY_21M1.weights, xi=xi, g=FAMILY_11M1.g, weight_matrix=w)
     # without a weight matrix the same g is a system, and never a proper one
     assert FAMILY_11M1.proper and not SystemSpec(weights=w.entries, xi=xi, g=radial).proper
+
+
+def test_system_spec_refuses_any_other_shape():
+    # an (n-1)-torus on C^n whose rows pair to 0 with xi, with or without a
+    # weight matrix: family_21m1's rows against family_11m1's xi, and d = k
+    # rows that xi annihilates
+    xi, g = FAMILY_11M1.xi, FAMILY_11M1.g
+    with pytest.raises(InvalidAction):
+        SystemSpec(weights=FAMILY_21M1.weights, xi=xi, g=g)
+    square = DefiningVector.from_entries((1, 1))
+    with pytest.raises(InvalidAction):
+        SystemSpec(weights=((1, -1), (2, -2)), xi=square,
+                   g=InvariantPolynomial.imag_defining_monomial(square))
+    assert local_model_system((1, 1)).weights == ((1, -1),)
 
 
 def test_g_invariant_along_orbits():
@@ -825,7 +840,7 @@ def test_classify_points_matches_classify_point():
             seen["critical"] += report.critical_mod_phi
     assert seen["critical"] > 50
     assert {"regular", "regular-mod-phi-elliptic", "purely-elliptic"} <= set(seen)
-    assert any(label in seen for label in ephemera.classifier.EPHEMERAL_LABELS)
+    assert any(label in seen for label in EPHEMERAL_LABELS)
     assert ephemera.classifier.classify_points(FAMILY_11M1, []) == []
 
 
@@ -1009,4 +1024,4 @@ def test_near_zero_coordinates_are_classified_on_their_stratum():
                 seen["tall"] += 1
             seen[got.label] += 1
     assert seen["tall"] >= 100, seen
-    assert any(label in seen for label in ephemera.classifier.EPHEMERAL_LABELS), seen
+    assert any(label in seen for label in EPHEMERAL_LABELS), seen

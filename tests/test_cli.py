@@ -169,6 +169,18 @@ def test_cli_classify_catalog_point():
         assert bundle["reports"][0]["label"] == "nondegenerate-ephemeral(focus-focus)"
 
 
+@pytest.mark.parametrize("command", ["classify", "ephemeral-test", "fiber-scan"])
+@pytest.mark.parametrize("spec", ["/nonexistent/dir/family_11m1.json", "typo/family_21m1",
+                                  "family_11m1.csv", "./family_11m1"])
+def test_missing_spec_path_is_not_read_as_a_catalog_name(command, spec, tmp_path, capsys):
+    # only a bare catalog name, or one with .json appended, names a shipped
+    # spec; any other argument is a path, and a missing file exits 2
+    out = tmp_path / "out.json"
+    assert main([command, spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {spec} is neither a file nor a catalog name\n"
+    assert not out.exists()
+
+
 def test_load_spec_file_helper(tmp_path):
     from ephemera.serial import load_spec_file
 

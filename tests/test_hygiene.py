@@ -33,12 +33,13 @@ def _imported_names(tree: ast.Module) -> dict:
 
 
 def _mentions(tree: ast.Module) -> tuple[Counter, Counter]:
-    """Names read as a variable or imported, and names read as an attribute."""
+    """Names read as a variable or imported, and names read as an attribute;
+    a name that is only stored to is not read."""
     names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attributes[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
@@ -136,3 +137,28 @@ def test_bench_trace_targets_resolve():
     # tracing._level_cells binds the resolution argument of every call
     level_components = importlib.import_module("ephemera.fiberlab").level_components
     assert "resolution" in inspect.signature(level_components).parameters
+
+
+def _assigned_names(tree: ast.Module):
+    """(name, line) of each module-level assignment target, dunders aside."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield name.id, node.lineno
+
+
+def test_every_module_level_name_is_read_in_the_program():
+    # a read anywhere in src/ or bench/ counts: a name loaded as a variable,
+    # read as an attribute or imported; the assignment itself stores, and
+    # tests do not count, so a constant that only tests read lives with them
+    read = Counter()
+    for path in PROGRAM:
+        names, attributes = _mentions(_tree(path))
+        read += names + attributes
+    unread = [f"{path.name}:{line} {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, line in _assigned_names(_tree(path)) if not read[name]]
+    assert unread == []
