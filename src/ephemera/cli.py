@@ -82,8 +82,16 @@ def _emit(bundle: dict, out: str | None, extra=()) -> None:
     `python -m json.tool` pretty-prints it.  All or none: every file is
     staged to a temporary name, and a target that is a directory is
     refused, before any is renamed into place; stdout is written last.
+    Two targets that resolve to the same file are refused before any is
+    staged.
     """
     outputs = [(out, json.dumps(bundle) + "\n"), *extra]
+    targets = {}
+    for path in filter(None, (path for path, _ in outputs)):
+        real = os.path.realpath(path)
+        if real in targets:
+            raise ParseError(f"{targets[real]} and {path} name the same file")
+        targets[real] = path
     staged = []
     try:
         for path, text in outputs:

@@ -308,14 +308,15 @@ def level_components(charts, levels, resolution: int) -> list[list[int]]:
     above = np.zeros_like(live)  # overlaps the run of its half-turn in the band above
     above[..., 1:] = np.maximum(first[..., 1:], first[..., :-1]) < np.minimum(
         stop[..., 1:], stop[..., :-1])
-    cells = np.reshape([len(half) - 1 for half in halves], (2, 1, 1, 1))
-    meet = live.all(axis=0) & ((first == 0).all(axis=0) | (stop == cells).all(axis=0))
+    meet = live[0] & live[1] & ((first[0] == 0) & (first[1] == 0) | (
+        (stop[0] == len(halves[0]) - 1) & (stop[1] == len(halves[1]) - 1)))
     del first, stop
-    chain = np.cumsum(live & ~above, axis=-1)  # a live run's chain on its half-turn
-    # each meet's pair as one key; keys never fall, so a change marks a distinct pair
+    chain = np.cumsum(live & ~above, axis=-1, dtype=np.int32)  # a live run's chain
+    # each meet's pair as one key below (n + 1)^2; keys never fall, so a change marks a
+    # distinct pair
     joins = np.maximum.accumulate(np.where(meet, chain[0] * (n + 1) + chain[1], -1), axis=-1)
-    distinct = np.count_nonzero(np.diff(joins, axis=-1, prepend=-1), axis=-1)
-    components = chain[..., -1].sum(axis=0) - distinct
+    distinct = np.count_nonzero(joins[..., 1:] != joins[..., :-1], axis=-1) + (joins[..., 0] >= 0)
+    components = chain[0, ..., -1] + chain[1, ..., -1] - distinct
     return [row[:len(chart_levels)].tolist() for row, chart_levels in zip(components, levels)]
 
 
@@ -373,12 +374,14 @@ def _crossed_runs(charts, levels, n: int):
     high = np.maximum(below[..., :-1], below[..., 1:])
     low = np.minimum(upto[..., :-1], upto[..., 1:])
     del below, upto, back, on
-    # A(r) of each half-turn, r = 0 ... n, in the rows of an int32 table (A <= n)
-    at_least = np.array([np.bincount(sigma[half], minlength=n + 1)[::-1].cumsum()[::-1]
-                         for half in halves], dtype=np.int32)
-    first = np.maximum(at_least - 1, 0)[:, high]
-    del high
-    stop = np.minimum(at_least, [[len(half) - 1] for half in halves], dtype=np.int32)[:, low]
+    # A(r) of each half-turn, r = 0 ... n, fits int32 (A <= n); each half-turn's runs are
+    # gathered into their own C-contiguous block, which the counting reads in order
+    first = np.empty((2, *high.shape), dtype=np.int32)
+    stop = np.empty_like(first)
+    for h, half in enumerate(halves):
+        at_least = np.bincount(sigma[half], minlength=n + 1)[::-1].cumsum()[::-1].astype(np.int32)
+        np.take(np.maximum(at_least - 1, 0), high, out=first[h])
+        np.take(np.minimum(at_least, len(half) - 1), low, out=stop[h])
     return first, stop, halves
 
 

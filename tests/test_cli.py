@@ -915,6 +915,19 @@ def test_cli_unwritable_output_path_exits_2(option, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+@pytest.mark.parametrize("csv_path", ["F", "./F"])
+def test_cli_fiber_scan_refuses_out_and_csv_naming_one_file(csv_path, tmp_path, monkeypatch):
+    # one file cannot hold both the bundle and the CSV: the run is refused
+    # before anything is staged, so nothing is written
+    monkeypatch.chdir(tmp_path)
+    code, err = _exit_code_and_message(
+        ["fiber-scan", "family_11m1", "--beta-grid=1:1:1,1:1:1", "--c-grid", "3",
+         "--resolution", "64", "--no-synthetic-check", "--out", "F", "--csv", csv_path])
+    assert code == 2
+    assert err == f"error: F and {csv_path} name the same file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_fiber_scan_unwritable_csv_prints_nothing(tmp_path, capsys):
     # the JSON bundle goes to stdout only once the CSV is in place
     argv = ["fiber-scan", "family_11m1", "--beta-grid=1:1:1,1:1:1", "--c-grid", "3",

@@ -653,6 +653,21 @@ def test_crossed_pairs_match_the_straddle_mask_at_2048():
     _check_runs([chart], [[0.3 * r_max, 0.0, tie]], 2048)
 
 
+@pytest.mark.parametrize("resolution, betas", [
+    (64, [(0.8, 1.6), (1.6, 1.6), (2.4, 0.8)]), (512, [(1.6, 1.2)])])
+def test_crossed_runs_are_contiguous_int32_blocks(resolution, betas):
+    # the counting walks first and stop along their last axis and combines
+    # the two half-turns elementwise, so each must be one C-contiguous block
+    # of shape (half-turn, chart, level, band), not a strided gather
+    charts = [reduced_surface(FAM, beta) for beta in betas]
+    levels = _sorted_stack([[0.1, 0.5, 1.0, 2.0, 0.0]] * len(charts))
+    first, stop, _ = _crossed_runs(charts, levels, resolution)
+    for runs in (first, stop):
+        assert runs.shape == (2, len(charts), 5, resolution)
+        assert runs.dtype == np.int32
+        assert runs.flags.c_contiguous
+
+
 def test_level_components_refuses_a_negative_profile():
     # R = s (1 - dip s^2) dips below 0 where s^2 > 1 / dip; the cuts need
     # R >= 0 to keep the order of the sines (without it their steps need not
@@ -700,8 +715,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert int(_fresh_python_output(script)) < 5000
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the faults of glibc's heap")
+def test_default_scan_stops_faulting_in_a_pristine_interpreter():
+    # as above, but with no block made and dropped first: the second scan
+    # runs in the heap that the first one left
+    script = """
+import resource
+import numpy as np
+from ephemera.family import build_family
+from ephemera.fiberlab import connectivity_report
+from ephemera.lattice import WeightMatrix
+fam = build_family(WeightMatrix(((1, 0, 1), (0, 1, 1))))
+grid = [(a, b) for a in np.linspace(0.8, 2.4, 5) for b in np.linspace(0.8, 2.4, 5)]
+connectivity_report(fam, grid, resolution=512)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+connectivity_report(fam, grid, resolution=512)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    assert int(_fresh_python_output(script)) < 200
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM in /proc/self/status")
-def test_one_chart_at_the_caps_stays_under_256_mb(tmp_path):
+def test_one_chart_at_the_caps_stays_under_144_mb(tmp_path):
     # one family_11m1 chart at MAX_RESOLUTION with 1024 levels, through the
     # CLI in a fresh process; VmHWM is the peak of the process's own memory,
     # where ru_maxrss would start from the peak of the test process that
@@ -717,7 +752,7 @@ print(code, peak)
 """
     code, peak_kb = map(int, _fresh_python_output(script).split())
     assert code == 0
-    assert peak_kb < 256 * 1024
+    assert peak_kb < 144 * 1024
 
 
 def _recording_stacks(monkeypatch):
